@@ -9,6 +9,7 @@ mod budget_polled;
 mod lock_order;
 mod lru_caches;
 mod no_std_sync;
+mod no_twins;
 mod panic_free;
 mod scoped_sweeps;
 mod timing_via_obs;
@@ -38,6 +39,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(no_std_sync::NoStdSync),
         Box::new(lock_order::LockOrder),
         Box::new(timing_via_obs::TimingViaObs),
+        Box::new(no_twins::NoTwins),
     ]
 }
 

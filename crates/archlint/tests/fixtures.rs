@@ -244,6 +244,32 @@ fn timing_via_obs_allow_suppresses() {
     assert_clean("fixtures/inline/timing_allow.rs", src);
 }
 
+// ---- no-twin-entry-points ---------------------------------------------
+
+#[test]
+fn no_twins_positive() {
+    let rel = "fixtures/no_twins/bad.rs";
+    let diags = lint_one(rel, include_str!("fixtures/no_twins/bad.rs"));
+    assert_eq!(
+        sites(&diags),
+        vec![
+            (4, "no-twin-entry-points"),  // pub fn join_sharded
+            (9, "no-twin-entry-points"),  // pub(crate) fn count_governed
+            (13, "no-twin-entry-points"), // pub fn boolean_observed
+        ],
+        "{diags:#?}"
+    );
+    assert!(diags[0].msg.contains("join_sharded"), "{diags:#?}");
+}
+
+#[test]
+fn no_twins_negative() {
+    assert_clean(
+        "fixtures/no_twins/good.rs",
+        include_str!("fixtures/no_twins/good.rs"),
+    );
+}
+
 // ---- allow hygiene ------------------------------------------------------
 
 #[test]

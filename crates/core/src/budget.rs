@@ -165,6 +165,12 @@ impl QueryBudget {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
+    /// `true` when a byte quota is set, i.e. when
+    /// [`charge_bytes`](Self::charge_bytes) can trip.
+    pub fn has_byte_quota(&self) -> bool {
+        self.max_bytes != u64::MAX
+    }
+
     /// `true` when no deadline, quota, or cancellation can ever trip —
     /// governed code may skip its polling entirely.
     pub fn is_unlimited(&self) -> bool {

@@ -44,7 +44,6 @@
 pub mod budget;
 pub mod cache;
 pub mod datalog;
-pub mod dot;
 mod engine;
 mod hypertree;
 pub mod kdecomp;

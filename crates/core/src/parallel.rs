@@ -52,8 +52,7 @@ use std::thread::ThreadId;
 /// scope joins, so result delivery needs no shared lock.
 ///
 /// This is the workspace's one generic fork/join helper: the serving
-/// layer spreads batch requests over it, and the sharded evaluation
-/// pipeline runs per-shard sweep work through it.
+/// layer spreads batch requests over it.
 pub fn run_parallel<T: Sync, R: Send>(
     items: &[T],
     workers: usize,

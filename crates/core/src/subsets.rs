@@ -2,9 +2,7 @@
 //!
 //! The solvers' innermost loop walks every `≤ k`-subset of a candidate
 //! pool. [`SubsetState`] advances one combination in place and lends out
-//! its index buffer, so a full enumeration performs **one** allocation;
-//! the [`SubsetIter`] wrapper keeps the old cloning [`Iterator`] shape for
-//! tests and non-hot callers.
+//! its index buffer, so a full enumeration performs **one** allocation.
 
 /// In-place enumerator over all subsets of `{0..n}` of size `1..=k`, by
 /// increasing size and lexicographically within a size.
@@ -63,44 +61,32 @@ impl SubsetState {
     }
 }
 
-/// Iterates over all subsets of `{0..n}` of size `1..=k`, cloning each one
-/// — a thin wrapper over [`SubsetState`] kept for tests and callers off
-/// the hot path.
-pub struct SubsetIter {
-    state: SubsetState,
-}
-
-/// All subsets of `{0..n}` of size `1..=k` (k is clamped to n).
-pub fn subsets(n: usize, k: usize) -> SubsetIter {
-    SubsetIter {
-        state: SubsetState::new(n, k),
-    }
-}
-
-impl Iterator for SubsetIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        self.state.advance().map(<[usize]>::to_vec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every subset the enumerator lends out, copied.
+    fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut st = SubsetState::new(n, k);
+        let mut all = Vec::new();
+        while let Some(s) = st.advance() {
+            all.push(s.to_vec());
+        }
+        all
+    }
+
     #[test]
     fn counts_match_binomials() {
-        assert_eq!(subsets(4, 2).count(), 4 + 6);
-        assert_eq!(subsets(5, 3).count(), 5 + 10 + 10);
-        assert_eq!(subsets(0, 3).count(), 0);
-        assert_eq!(subsets(3, 0).count(), 0);
-        assert_eq!(subsets(3, 7).count(), 7, "k clamps to n");
+        assert_eq!(subsets(4, 2).len(), 4 + 6);
+        assert_eq!(subsets(5, 3).len(), 5 + 10 + 10);
+        assert_eq!(subsets(0, 3).len(), 0);
+        assert_eq!(subsets(3, 0).len(), 0);
+        assert_eq!(subsets(3, 7).len(), 7, "k clamps to n");
     }
 
     #[test]
     fn ordered_smallest_first() {
-        let all: Vec<_> = subsets(3, 2).collect();
+        let all = subsets(3, 2);
         assert_eq!(
             all,
             vec![
@@ -116,25 +102,10 @@ mod tests {
 
     #[test]
     fn no_duplicates() {
-        let all: Vec<_> = subsets(6, 3).collect();
+        let all = subsets(6, 3);
         let mut dedup = all.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(all.len(), dedup.len());
-    }
-
-    #[test]
-    fn state_agrees_with_iterator() {
-        // The lending enumerator and the cloning wrapper see the same
-        // sequence (the wrapper *is* the state, but keep them honest).
-        for (n, k) in [(5usize, 2usize), (6, 3), (1, 1), (4, 4)] {
-            let mut st = SubsetState::new(n, k);
-            let mut from_state = Vec::new();
-            while let Some(s) = st.advance() {
-                from_state.push(s.to_vec());
-            }
-            let from_iter: Vec<_> = subsets(n, k).collect();
-            assert_eq!(from_state, from_iter, "n={n} k={k}");
-        }
     }
 }

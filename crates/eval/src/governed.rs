@@ -1,23 +1,29 @@
-//! Budget-governed evaluation: every entry point of the pipeline, run
-//! under a [`QueryBudget`] that is polled cooperatively at chunk
-//! granularity.
+//! Budget-governed evaluation: the execution context every entry point
+//! of the pipeline runs under.
 //!
-//! This module is the bridge between the two halves of the governance
-//! stack, which cannot see each other directly:
+//! An [`ExecCtx`] carries one request's [`QueryBudget`] and
+//! [`obs::Tracer`]. Each operation has exactly one body — the
+//! `*_in(…, ctx)` methods on [`Pipeline`](crate::Pipeline) and
+//! [`Strategy`](crate::Strategy), [`crate::reduction::reduce_in`] — and
+//! the plain-signature entry points (`Pipeline::boolean`,
+//! `Strategy::enumerate`, `counting::count_with`, …) are one-line
+//! delegations that run it under [`ExecCtx::unlimited`]. So a request
+//! runs the same code whether or not it is governed or traced.
+//!
+//! This module is also the bridge between the two halves of the
+//! governance stack, which cannot see each other directly:
 //!
 //! * `hypertree_core::budget` defines [`QueryBudget`] / [`QueryError`]
 //!   but sits *above* the relational kernels in the crate order;
 //! * `relation::meter` defines the [`CostMeter`] hook the kernels poll
 //!   but knows nothing about budgets.
 //!
-//! The (crate-internal) `BudgetMeter` adapts one to the other, and the
-//! `*_governed` methods
-//! on [`Pipeline`] / [`crate::Strategy`] thread it through every
-//! long-running loop: semijoin sweeps, the enumerate join phase, the
-//! counting DP, and (via [`crate::reduction::reduce_governed`]) the
-//! Lemma 4.6 node joins. Between node steps the budget is checked
-//! directly, so even a pipeline whose individual steps are small cannot
-//! overrun a deadline by more than one step.
+//! The (crate-internal) `BudgetMeter` adapts one to the other and is
+//! threaded through every long-running loop: semijoin sweeps, the
+//! enumerate join phase, the counting DP, and the Lemma 4.6 node joins
+//! and projections. Between node steps the budget is checked directly,
+//! so even a pipeline whose individual steps are small cannot overrun a
+//! deadline by more than one step.
 //!
 //! **Degradation ladder for `enumerate`.** A deadline or cancellation
 //! trip always unwinds with an error — a caller out of time has no use
@@ -29,13 +35,52 @@
 //! reduce/semijoin phases, or in `boolean`/`count` runs (whose outputs
 //! are scalars that must be exact), stay hard errors.
 
-use crate::binding::EvalError;
-use crate::pipeline::{pair_mut, saturating_sum, var_pairs, Pipeline};
-use crate::sharded::ShardConfig;
-use hypergraph::{Ix, VertexId};
 use hypertree_core::{QueryBudget, QueryError};
 use relation::meter::{CostMeter, Trip};
-use relation::{ops, shard, Relation};
+use relation::Relation;
+
+/// What one evaluation runs under: the request's budget (deadline, byte
+/// quota, cancellation) and its tracer (phase spans, row accounting; a
+/// disabled tracer costs one branch per would-be span).
+#[derive(Clone, Copy)]
+pub struct ExecCtx<'a> {
+    /// The budget every metered kernel and node step polls.
+    pub budget: &'a QueryBudget,
+    /// Where spans, row counts and per-node rows are recorded.
+    pub tracer: &'a obs::Tracer,
+}
+
+impl<'a> ExecCtx<'a> {
+    /// A context over `budget` and `tracer`.
+    pub fn new(budget: &'a QueryBudget, tracer: &'a obs::Tracer) -> Self {
+        ExecCtx { budget, tracer }
+    }
+
+    /// Run `run` under a fresh unlimited budget with tracing off — the
+    /// context of every plain-signature entry point.
+    pub fn unlimited<T>(run: impl FnOnce(ExecCtx<'_>) -> T) -> T {
+        let budget = QueryBudget::unlimited();
+        let tracer = obs::Tracer::off();
+        run(ExecCtx::new(&budget, &tracer))
+    }
+
+    /// [`ExecCtx::unlimited`] for a run whose only errors are budget
+    /// trips. A fresh unlimited budget has no deadline or quota, and no
+    /// one else holds it to cancel it, so the run cannot fail.
+    pub fn never_trips<T>(run: impl FnOnce(ExecCtx<'_>) -> Result<T, QueryError>) -> T {
+        match Self::unlimited(run) {
+            Ok(v) => v,
+            // archlint::allow(panic-free-request-path, reason = "a fresh unlimited budget has no deadline or quota and no other holder to cancel it, so no check can fail")
+            Err(e) => unreachable!("an unlimited budget tripped: {e}"),
+        }
+    }
+
+    /// The kernel meter for `phase`, tapping scanned rows into the
+    /// tracer.
+    pub(crate) fn meter(self, phase: &'static str) -> BudgetMeter<'a> {
+        BudgetMeter::new(self.budget, phase).with_tap(self.tracer.io())
+    }
+}
 
 /// [`QueryBudget`] seen through the kernels' [`CostMeter`] hook.
 ///
@@ -58,7 +103,7 @@ pub(crate) struct BudgetMeter<'a> {
 }
 
 impl<'a> BudgetMeter<'a> {
-    pub(crate) fn new(budget: &'a QueryBudget, phase: &'static str) -> Self {
+    fn new(budget: &'a QueryBudget, phase: &'static str) -> Self {
         BudgetMeter {
             budget,
             phase,
@@ -68,23 +113,19 @@ impl<'a> BudgetMeter<'a> {
         }
     }
 
-    fn unenforced(budget: &'a QueryBudget, phase: &'static str) -> Self {
-        BudgetMeter {
-            budget,
-            phase,
-            enforce_memory: false,
-            tap: obs::IoTap::disabled(),
-            node_tap: obs::IoTap::disabled(),
-        }
-    }
-
-    pub(crate) fn with_tap(mut self, tap: obs::IoTap<'a>) -> Self {
+    fn with_tap(mut self, tap: obs::IoTap<'a>) -> Self {
         self.tap = tap;
         self
     }
 
     pub(crate) fn with_node_tap(mut self, tap: obs::IoTap<'a>) -> Self {
         self.node_tap = tap;
+        self
+    }
+
+    /// Stop enforcing the byte quota (charges are still accounted).
+    pub(crate) fn unenforced(mut self) -> Self {
+        self.enforce_memory = false;
         self
     }
 }
@@ -115,7 +156,7 @@ impl CostMeter for BudgetMeter<'_> {
 
 /// Record every node relation's current size as its pipeline-entry row
 /// count (one branch per node when tracing is off).
-fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
+pub(crate) fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
     if obs.enabled() {
         obs.init_nodes(rels.len());
         for (i, r) in rels.iter().enumerate() {
@@ -125,7 +166,7 @@ fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
 }
 
 /// Record every node relation's current size as its survivor count.
-fn note_nodes_out(obs: &obs::Tracer, rels: &[Relation]) {
+pub(crate) fn note_nodes_out(obs: &obs::Tracer, rels: &[Relation]) {
     if obs.enabled() {
         for (i, r) in rels.iter().enumerate() {
             obs.note_node_rows_out(i, r.len() as u64);
@@ -143,468 +184,18 @@ pub(crate) fn trip_to_error(trip: Trip, phase: &'static str) -> QueryError {
     }
 }
 
-impl Pipeline {
-    /// One governed edge of a semijoin sweep, sharded when large enough
-    /// under `cfg` (mirrors the ungoverned `semijoin_step`).
-    fn semijoin_step_governed(
-        left: &mut Relation,
-        left_cols: &[usize],
-        right: &Relation,
-        right_cols: &[usize],
-        cfg: &ShardConfig,
-        shards: usize,
-        meter: &BudgetMeter<'_>,
-    ) -> Result<(), Trip> {
-        if cfg.step_shards(shards, left.len(), right.len()) {
-            shard::retain_semijoin_cols_sharded_governed(
-                left, left_cols, right, right_cols, shards, meter,
-            )
-        } else {
-            left.retain_semijoin_cols_governed(left_cols, right, right_cols, meter)
-        }
-    }
-
-    /// [`Pipeline::boolean`] / [`Pipeline::boolean_sharded`] under a
-    /// budget: the budget is checked before every edge and polled inside
-    /// each semijoin at chunk granularity. Sequential when
-    /// `cfg.is_sequential()`, sharded otherwise — same answer either way.
-    pub fn boolean_governed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<bool, QueryError> {
-        self.boolean_observed(rels, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::boolean_governed`] with the semijoin sweep timed
-    /// under the tracer's `reduce` span and its row scans tapped.
-    pub fn boolean_observed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<bool, QueryError> {
-        const PHASE: &str = "semijoin";
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        let _span = obs.span(obs::Phase::Reduce);
-        let shards = cfg.effective_shards();
-        note_nodes_in(obs, rels);
-        for &n in &self.post {
-            if let Some(p) = self.tree.parent(n) {
-                budget.check(PHASE)?;
-                // Scan work lands on the node being filtered (the
-                // parent, on the bottom-up sweep).
-                let meter = BudgetMeter::new(budget, PHASE)
-                    .with_tap(obs.io())
-                    .with_node_tap(obs.node_tap(p.index()));
-                let emptied = {
-                    let (parent, child) = pair_mut(rels, p.index(), n.index());
-                    Self::semijoin_step_governed(
-                        parent,
-                        &self.parent_cols[n.index()],
-                        child,
-                        &self.child_cols[n.index()],
-                        cfg,
-                        shards,
-                        &meter,
-                    )
-                    .map_err(|t| trip_to_error(t, PHASE))?;
-                    parent.is_empty()
-                };
-                if emptied {
-                    note_nodes_out(obs, rels);
-                    return Ok(false);
-                }
-            }
-        }
-        note_nodes_out(obs, rels);
-        Ok(!rels[self.tree.root().index()].is_empty())
-    }
-
-    /// [`Pipeline::full_reduce`] / [`Pipeline::full_reduce_sharded`]
-    /// under a budget; same per-edge checking as
-    /// [`Pipeline::boolean_governed`].
-    pub fn full_reduce_governed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(), QueryError> {
-        self.full_reduce_observed(rels, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::full_reduce_governed`] with the sweep timed under
-    /// the tracer's `reduce` span and its row scans tapped.
-    pub fn full_reduce_observed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(), QueryError> {
-        const PHASE: &str = "semijoin";
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        let _span = obs.span(obs::Phase::Reduce);
-        let shards = cfg.effective_shards();
-        note_nodes_in(obs, rels);
-        for &n in &self.post {
-            if let Some(p) = self.tree.parent(n) {
-                budget.check(PHASE)?;
-                // Bottom-up: the parent is filtered.
-                let meter = BudgetMeter::new(budget, PHASE)
-                    .with_tap(obs.io())
-                    .with_node_tap(obs.node_tap(p.index()));
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                Self::semijoin_step_governed(
-                    parent,
-                    &self.parent_cols[n.index()],
-                    child,
-                    &self.child_cols[n.index()],
-                    cfg,
-                    shards,
-                    &meter,
-                )
-                .map_err(|t| trip_to_error(t, PHASE))?;
-            }
-        }
-        for &n in &self.pre {
-            if let Some(p) = self.tree.parent(n) {
-                budget.check(PHASE)?;
-                // Top-down: the child is filtered.
-                let meter = BudgetMeter::new(budget, PHASE)
-                    .with_tap(obs.io())
-                    .with_node_tap(obs.node_tap(n.index()));
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                Self::semijoin_step_governed(
-                    child,
-                    &self.child_cols[n.index()],
-                    parent,
-                    &self.parent_cols[n.index()],
-                    cfg,
-                    shards,
-                    &meter,
-                )
-                .map_err(|t| trip_to_error(t, PHASE))?;
-            }
-        }
-        note_nodes_out(obs, rels);
-        Ok(())
-    }
-
-    /// [`Pipeline::enumerate`] / [`Pipeline::enumerate_sharded`] under a
-    /// budget. Returns `(answers, truncated)`: `truncated == true` means
-    /// the byte quota tripped during the join phase and the rows are a
-    /// sound subset of the full answer (see the module docs for the
-    /// degradation ladder). Deadline and cancellation trips error.
-    pub fn enumerate_governed(
-        &self,
-        rels: &mut [Relation],
-        output: &[VertexId],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(Relation, bool), QueryError> {
-        self.enumerate_observed(rels, output, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::enumerate_governed`] with the sweep and join phases
-    /// timed under the tracer's `reduce` and `join` spans.
-    pub fn enumerate_observed(
-        &self,
-        rels: &mut [Relation],
-        output: &[VertexId],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), QueryError> {
-        self.full_reduce_observed(rels, cfg, budget, obs)?;
-        self.join_phase_observed(rels, output, budget, obs)
-    }
-
-    /// The governed join/projection phase of `enumerate`. Runs the joins
-    /// sequentially — a truncated sharded join would cut rows at
-    /// arbitrary per-chunk positions, while the sequential kernel
-    /// truncates to a clean prefix — over relations the (sharded,
-    /// governed) full reduction has already filtered.
-    fn join_phase_observed(
-        &self,
-        rels: &mut [Relation],
-        output: &[VertexId],
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), QueryError> {
-        const PHASE: &str = "join";
-        let _span = obs.span(obs::Phase::Join);
-        let tap = obs.io();
-        let mut truncated = false;
-        let mut work: Vec<(Vec<VertexId>, Relation)> = self
-            .vars
-            .iter()
-            .cloned()
-            .zip(rels.iter_mut().map(std::mem::take))
-            .collect();
-
-        for &n in &self.post {
-            budget.check(PHASE)?;
-            let (mut vars, mut rel) = std::mem::take(&mut work[n.index()]);
-            for &c in self.tree.children(n) {
-                let (cvars, crel) = std::mem::take(&mut work[c.index()]);
-                let pairs = var_pairs(&vars, &cvars);
-                let keep: Vec<usize> = (0..cvars.len())
-                    .filter(|&j| !vars.contains(&cvars[j]))
-                    .collect();
-                let meter = if truncated {
-                    BudgetMeter::unenforced(budget, PHASE)
-                } else {
-                    BudgetMeter::new(budget, PHASE)
-                }
-                .with_tap(tap)
-                .with_node_tap(obs.node_tap(n.index()));
-                let (joined, t) = ops::join_governed(&rel, &crel, &pairs, &keep, &meter, true)
-                    .map_err(|t| trip_to_error(t, PHASE))?;
-                truncated |= t;
-                rel = joined;
-                for j in keep {
-                    vars.push(cvars[j]);
-                }
-            }
-            let parent_vars: &[VertexId] = match self.tree.parent(n) {
-                Some(p) => &self.vars[p.index()],
-                None => &[],
-            };
-            let keep_cols: Vec<usize> = (0..vars.len())
-                .filter(|&i| output.contains(&vars[i]) || parent_vars.contains(&vars[i]))
-                .collect();
-            let projected_vars: Vec<VertexId> = keep_cols.iter().map(|&i| vars[i]).collect();
-            // Projections only shrink; memory charges are advisory once
-            // truncation has started, and always accounted.
-            let meter = if truncated {
-                BudgetMeter::unenforced(budget, PHASE)
-            } else {
-                BudgetMeter::new(budget, PHASE)
-            }
-            .with_tap(tap)
-            .with_node_tap(obs.node_tap(n.index()));
-            let projected = ops::project_governed(&rel, &keep_cols, &meter)
-                .map_err(|t| trip_to_error(t, PHASE))?;
-            work[n.index()] = (projected_vars, projected);
-        }
-
-        let (vars, rel) = &work[self.tree.root().index()];
-        if output.iter().any(|v| !vars.contains(v)) {
-            debug_assert!(rel.is_empty());
-            return Ok((Relation::new(output.len()), truncated));
-        }
-        let cols: Vec<usize> = output
-            .iter()
-            // archlint::allow(panic-free-request-path, reason = "guarded by the contains() early-return above")
-            .map(|v| vars.iter().position(|w| w == v).expect("checked above"))
-            .collect();
-        let meter = if truncated {
-            BudgetMeter::unenforced(budget, PHASE)
-        } else {
-            BudgetMeter::new(budget, PHASE)
-        }
-        .with_tap(tap)
-        .with_node_tap(obs.node_tap(self.tree.root().index()));
-        let out = ops::project_governed(rel, &cols, &meter).map_err(|t| trip_to_error(t, PHASE))?;
-        Ok((out, truncated))
-    }
-
-    /// [`Pipeline::count`] / [`Pipeline::count_sharded`] under a budget:
-    /// checked before every DP edge, with the per-edge scratch (group
-    /// sums, factor probes, tuple counts) charged against the byte
-    /// quota. A memory trip is a hard error — a truncated count would be
-    /// silently wrong, unlike a truncated enumeration.
-    pub fn count_governed(
-        &self,
-        rels: &[Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<u128, QueryError> {
-        self.count_observed(rels, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::count_governed`] with the DP timed under the
-    /// tracer's `count` span; each edge scans its child and parent node
-    /// relations once, and those rows are tapped.
-    pub fn count_observed(
-        &self,
-        rels: &[Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<u128, QueryError> {
-        const PHASE: &str = "count";
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        let _span = obs.span(obs::Phase::Count);
-        let tap = obs.io();
-        // The DP never filters: rows in == rows out at every node.
-        note_nodes_in(obs, rels);
-        note_nodes_out(obs, rels);
-        budget.check(PHASE)?;
-        let cell = std::mem::size_of::<u128>() as u64;
-        budget.charge_bytes(rels.iter().map(|r| r.len() as u64 * cell).sum())?;
-        let shards = cfg.effective_shards();
-        let mut counts: Vec<Vec<u128>> = rels.iter().map(|r| vec![1u128; r.len()]).collect();
-        for &n in &self.post {
-            let Some(p) = self.tree.parent(n) else {
-                continue;
-            };
-            budget.check(PHASE)?;
-            // Upper bound on the edge's scratch: one sum per child group
-            // (≤ child rows) plus one factor per parent row.
-            budget.charge_bytes(
-                (rels[n.index()].len() as u64 + rels[p.index()].len() as u64) * cell,
-            )?;
-            tap.add_rows(rels[n.index()].len() as u64 + rels[p.index()].len() as u64);
-            obs.node_tap(n.index())
-                .add_rows(rels[n.index()].len() as u64);
-            obs.node_tap(p.index())
-                .add_rows(rels[p.index()].len() as u64);
-            self.count_edge(rels, &mut counts, n, p, cfg, shards);
-        }
-        Ok(saturating_sum(
-            counts[self.tree.root().index()].iter().copied(),
-        ))
-    }
-}
-
-impl crate::Strategy {
-    /// [`crate::Strategy::boolean_sharded`] under a budget (pass
-    /// [`ShardConfig::sequential`] for single-threaded execution).
-    pub fn boolean_governed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<bool, EvalError> {
-        self.boolean_observed(q, db, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`crate::Strategy::boolean_governed`] with the reduction and
-    /// sweep phases recorded into `obs`.
-    pub fn boolean_observed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<bool, EvalError> {
-        budget.check("bind")?;
-        match self {
-            crate::Strategy::JoinTree(jt) => {
-                let bound = crate::bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(true); // empty body is vacuously true
-                }
-                let (pipeline, mut rels) = crate::pipeline_for(jt, bound);
-                Ok(pipeline.boolean_observed(&mut rels, cfg, budget, obs)?)
-            }
-            crate::Strategy::Hypertree(hd) => {
-                let (pipeline, mut rels) =
-                    crate::reduction::reduce_observed(q, db, hd, cfg, budget, obs)?.into_pipeline();
-                Ok(pipeline.boolean_observed(&mut rels, cfg, budget, obs)?)
-            }
-        }
-    }
-
-    /// [`crate::Strategy::enumerate_sharded`] under a budget. Returns
-    /// `(answers, truncated)` — see [`Pipeline::enumerate_governed`] for
-    /// the truncation semantics.
-    pub fn enumerate_governed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(Relation, bool), EvalError> {
-        self.enumerate_observed(q, db, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`crate::Strategy::enumerate_governed`] recorded into `obs`: the
-    /// whole operation runs under an `enumerate` span (a container that
-    /// overlaps the nested `reduce` and `join` spans — see the
-    /// [`obs::phase`] docs).
-    pub fn enumerate_observed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), EvalError> {
-        let _span = obs.span(obs::Phase::Enumerate);
-        budget.check("bind")?;
-        match self {
-            crate::Strategy::JoinTree(jt) => {
-                let bound = crate::bind_all(q, db)?;
-                if bound.is_empty() {
-                    let mut rel = Relation::new(0);
-                    rel.push_row(&[]);
-                    return Ok((rel, false));
-                }
-                let (pipeline, mut rels) = crate::pipeline_for(jt, bound);
-                Ok(pipeline.enumerate_observed(&mut rels, &q.head_vars(), cfg, budget, obs)?)
-            }
-            crate::Strategy::Hypertree(hd) => {
-                let (pipeline, mut rels) =
-                    crate::reduction::reduce_observed(q, db, hd, cfg, budget, obs)?.into_pipeline();
-                Ok(pipeline.enumerate_observed(&mut rels, &q.head_vars(), cfg, budget, obs)?)
-            }
-        }
-    }
-
-    /// Governed counting (cf. [`crate::counting::count_with_sharded`]).
-    pub fn count_governed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<u128, EvalError> {
-        self.count_observed(q, db, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`crate::Strategy::count_governed`] with the reduction and DP
-    /// phases recorded into `obs`.
-    pub fn count_observed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<u128, EvalError> {
-        budget.check("bind")?;
-        match self {
-            crate::Strategy::JoinTree(jt) => {
-                let bound = crate::bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(1); // the empty substitution
-                }
-                let (pipeline, rels) = crate::pipeline_for(jt, bound);
-                Ok(pipeline.count_observed(&rels, cfg, budget, obs)?)
-            }
-            crate::Strategy::Hypertree(hd) => {
-                let (pipeline, rels) =
-                    crate::reduction::reduce_observed(q, db, hd, cfg, budget, obs)?.into_pipeline();
-                Ok(pipeline.count_observed(&rels, cfg, budget, obs)?)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Strategy;
+    use crate::{EvalError, Strategy};
     use cq::parse_query;
     use relation::Database;
     use std::time::Duration;
+
+    /// Run `run` under `budget` with tracing off.
+    fn under<T>(budget: &QueryBudget, run: impl FnOnce(ExecCtx<'_>) -> T) -> T {
+        run(ExecCtx::new(budget, &obs::Tracer::off()))
+    }
 
     fn star_db(n: u64) -> Database {
         let mut db = Database::new();
@@ -621,32 +212,29 @@ mod tests {
     fn unlimited_budget_matches_ungoverned_answers() {
         let q = parse_query("ans(A,B) :- hub(A,B,C), p(A), p2(B), p3(C).").unwrap();
         let db = star_db(300);
-        let budget = QueryBudget::unlimited();
-        for cfg in [
-            ShardConfig::sequential(),
-            ShardConfig {
-                shards: 3,
-                min_rows: 0,
-            },
-        ] {
-            let plan = Strategy::plan(&q);
-            assert_eq!(
-                plan.boolean_governed(&q, &db, &cfg, &budget).unwrap(),
-                plan.boolean(&q, &db).unwrap()
-            );
-            let (rows, truncated) = plan.enumerate_governed(&q, &db, &cfg, &budget).unwrap();
-            assert!(!truncated);
-            let plain = plan.enumerate(&q, &db).unwrap();
-            assert_eq!(rows, plain);
-            assert_eq!(
-                rows.rows().collect::<Vec<_>>(),
-                plain.rows().collect::<Vec<_>>()
-            );
-            assert_eq!(
-                plan.count_governed(&q, &db, &cfg, &budget).unwrap(),
-                crate::counting::count_with(&plan, &q, &db).unwrap()
-            );
-        }
+        // A roomy budget (live deadline and quota) answers exactly like
+        // the plain-signature entry points, row order included.
+        let budget = QueryBudget::unlimited()
+            .with_deadline(Duration::from_secs(600))
+            .with_byte_quota(1 << 40);
+        let plan = Strategy::plan(&q);
+        assert_eq!(
+            under(&budget, |ctx| plan.boolean_in(&q, &db, ctx)).unwrap(),
+            plan.boolean(&q, &db).unwrap()
+        );
+        let (rows, truncated) = under(&budget, |ctx| plan.enumerate_in(&q, &db, ctx)).unwrap();
+        assert!(!truncated);
+        let plain = plan.enumerate(&q, &db).unwrap();
+        assert_eq!(rows, plain);
+        assert_eq!(
+            rows.rows().collect::<Vec<_>>(),
+            plain.rows().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            under(&budget, |ctx| plan.count_in(&q, &db, ctx)).unwrap(),
+            crate::counting::count_with(&plan, &q, &db).unwrap()
+        );
+        assert!(budget.bytes_charged() > 0, "the kernels charged the budget");
     }
 
     #[test]
@@ -660,13 +248,12 @@ mod tests {
         }
         let plan = Strategy::plan(&q);
         assert!(matches!(plan, Strategy::Hypertree(_)));
-        let budget = QueryBudget::unlimited();
-        let cfg = ShardConfig::sequential();
+        let budget = QueryBudget::unlimited().with_byte_quota(1 << 40);
         assert_eq!(
-            plan.boolean_governed(&q, &db, &cfg, &budget).unwrap(),
+            under(&budget, |ctx| plan.boolean_in(&q, &db, ctx)).unwrap(),
             plan.boolean(&q, &db).unwrap()
         );
-        let (rows, truncated) = plan.enumerate_governed(&q, &db, &cfg, &budget).unwrap();
+        let (rows, truncated) = under(&budget, |ctx| plan.enumerate_in(&q, &db, ctx)).unwrap();
         assert!(!truncated);
         assert_eq!(rows, plan.enumerate(&q, &db).unwrap());
     }
@@ -683,7 +270,7 @@ mod tests {
         let plan = Strategy::plan(&q);
         let budget = QueryBudget::unlimited();
         let obs = obs::Tracer::on();
-        plan.enumerate_observed(&q, &db, &ShardConfig::sequential(), &budget, &obs)
+        plan.enumerate_in(&q, &db, ExecCtx::new(&budget, &obs))
             .unwrap();
         let tr = obs.finish(obs::TraceOutcome::default()).unwrap();
         assert!(!tr.node_rows.is_empty(), "node table never declared");
@@ -693,20 +280,6 @@ mod tests {
             // Semijoins only filter.
             assert!(nr.rows_out <= nr.rows_in, "survivors exceed input");
         }
-        // Sharded workers share the same cells through &Tracer.
-        let obs2 = obs::Tracer::on();
-        let cfg = ShardConfig {
-            shards: 2,
-            min_rows: 0,
-        };
-        plan.enumerate_observed(&q, &db, &cfg, &budget, &obs2)
-            .unwrap();
-        let tr2 = obs2.finish(obs::TraceOutcome::default()).unwrap();
-        assert_eq!(
-            tr.node_rows.iter().map(|n| n.rows_out).collect::<Vec<_>>(),
-            tr2.node_rows.iter().map(|n| n.rows_out).collect::<Vec<_>>(),
-            "survivor counts must not depend on sharding"
-        );
     }
 
     #[test]
@@ -716,9 +289,7 @@ mod tests {
         let budget = QueryBudget::unlimited().with_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
         let plan = Strategy::plan(&q);
-        let err = plan
-            .boolean_governed(&q, &db, &ShardConfig::sequential(), &budget)
-            .unwrap_err();
+        let err = under(&budget, |ctx| plan.boolean_in(&q, &db, ctx)).unwrap_err();
         assert!(matches!(
             err,
             EvalError::Budget(QueryError::DeadlineExceeded { .. })
@@ -732,9 +303,7 @@ mod tests {
         let budget = QueryBudget::unlimited();
         budget.cancel();
         let plan = Strategy::plan(&q);
-        let err = plan
-            .boolean_governed(&q, &db, &ShardConfig::sequential(), &budget)
-            .unwrap_err();
+        let err = under(&budget, |ctx| plan.boolean_in(&q, &db, ctx)).unwrap_err();
         assert_eq!(err, EvalError::Budget(QueryError::Cancelled));
     }
 
@@ -756,9 +325,7 @@ mod tests {
         assert_eq!(full.len(), 40_000);
         // A quota big enough for the inputs but not the 40k-row output.
         let budget = QueryBudget::unlimited().with_byte_quota(150 * 1024);
-        let (partial, truncated) = plan
-            .enumerate_governed(&q, &db, &ShardConfig::sequential(), &budget)
-            .unwrap();
+        let (partial, truncated) = under(&budget, |ctx| plan.enumerate_in(&q, &db, ctx)).unwrap();
         assert!(truncated, "the quota must trip");
         assert!(partial.len() < full.len());
         // Soundness: every returned row is a real answer.
@@ -768,9 +335,7 @@ mod tests {
         // Counting under the same quota is a hard error, never a wrong
         // number.
         let budget = QueryBudget::unlimited().with_byte_quota(16);
-        let err = plan
-            .count_governed(&q, &db, &ShardConfig::sequential(), &budget)
-            .unwrap_err();
+        let err = under(&budget, |ctx| plan.count_in(&q, &db, ctx)).unwrap_err();
         assert!(matches!(
             err,
             EvalError::Budget(QueryError::MemoryBudgetExceeded { .. })

@@ -4,15 +4,17 @@
 //!
 //! * [`naive`] — full joins with a row budget: the baseline whose
 //!   exponential intermediate results motivate the whole theory;
-//! * [`yannakakis`] — the acyclic-query algorithm (Boolean sweep, full
-//!   reducer, output-polynomial enumeration);
+//! * [`Pipeline`] — Yannakakis' acyclic-query algorithm (Boolean sweep,
+//!   full reducer, output-polynomial enumeration, counting DP);
 //! * [`reduction`] — Lemma 4.6: evaluate *cyclic* queries of bounded
 //!   hypertree width by reducing to an acyclic instance and running
 //!   Yannakakis (Theorems 4.7 / 4.8).
 //!
 //! [`evaluate_boolean`] and [`evaluate`] pick the strategy automatically:
 //! acyclic queries go straight to Yannakakis; cyclic ones get an optimal
-//! hypertree decomposition first.
+//! hypertree decomposition first. Every operation has one body, run
+//! under an [`ExecCtx`] (the request's budget and tracer); see
+//! [`governed`].
 //!
 //! # Example
 //!
@@ -40,14 +42,12 @@ pub mod governed;
 pub mod naive;
 pub mod pipeline;
 pub mod reduction;
-pub mod sharded;
-pub mod yannakakis;
 
 pub use binding::{bind_all, bind_atom, BoundAtom, EvalError};
 pub use containment::{contained_in, equivalent};
 pub use counting::count_assignments;
+pub use governed::ExecCtx;
 pub use pipeline::Pipeline;
-pub use sharded::ShardConfig;
 
 use cq::ConjunctiveQuery;
 use hypergraph::{acyclic, Ix};
@@ -127,79 +127,87 @@ impl Strategy {
 
     /// Evaluate the Boolean query under this plan.
     pub fn boolean(&self, q: &ConjunctiveQuery, db: &Database) -> Result<bool, EvalError> {
-        match self {
-            Strategy::JoinTree(jt) => {
-                let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(true); // empty body is vacuously true
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.boolean(&mut rels))
-            }
-            Strategy::Hypertree(hd) => reduction::boolean_via_hd(q, db, hd),
-        }
+        ExecCtx::unlimited(|ctx| self.boolean_in(q, db, ctx))
     }
 
     /// Evaluate the (possibly non-Boolean) query under this plan,
     /// returning the answers over the head variables.
     pub fn enumerate(&self, q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EvalError> {
-        match self {
-            Strategy::JoinTree(jt) => {
-                let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    let mut rel = Relation::new(0);
-                    rel.push_row(&[]);
-                    return Ok(rel);
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.enumerate(&mut rels, &q.head_vars()))
-            }
-            Strategy::Hypertree(hd) => reduction::enumerate_via_hd(q, db, hd),
-        }
+        // Without a byte quota nothing truncates.
+        ExecCtx::unlimited(|ctx| self.enumerate_in(q, db, ctx)).map(|(rows, _)| rows)
     }
 
-    /// [`Strategy::boolean`] with intra-query sharded execution (see
-    /// [`crate::sharded`]): large semijoin/join steps run hash-partitioned
-    /// across `cfg` shards. Byte-identical answers.
-    pub fn boolean_sharded(
+    /// [`Strategy::boolean`] under `ctx`: binding, the Lemma 4.6
+    /// reduction (for decompositions) and the sweep all poll its budget
+    /// and record into its tracer.
+    pub fn boolean_in(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
-        cfg: &ShardConfig,
+        ctx: ExecCtx<'_>,
     ) -> Result<bool, EvalError> {
-        match self {
-            Strategy::JoinTree(jt) => {
-                let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(true); // empty body is vacuously true
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.boolean_sharded(&mut rels, cfg))
-            }
-            Strategy::Hypertree(hd) => reduction::boolean_via_hd_sharded(q, db, hd, cfg),
+        match self.instance(q, db, ctx)? {
+            Some((pipeline, mut rels)) => Ok(pipeline.boolean_in(&mut rels, ctx)?),
+            None => Ok(true), // empty body is vacuously true
         }
     }
 
-    /// [`Strategy::enumerate`] with intra-query sharded execution (see
-    /// [`crate::sharded`]). Byte-identical answers, row order included.
-    pub fn enumerate_sharded(
+    /// [`Strategy::enumerate`] under `ctx`, recorded under an
+    /// `enumerate` span (a container that overlaps the nested `reduce`
+    /// and `join` spans — see the [`obs::phase`] docs). Returns
+    /// `(answers, truncated)` — see [`Pipeline::enumerate_in`] for the
+    /// truncation semantics.
+    pub fn enumerate_in(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
-        cfg: &ShardConfig,
-    ) -> Result<Relation, EvalError> {
+        ctx: ExecCtx<'_>,
+    ) -> Result<(Relation, bool), EvalError> {
+        let _span = ctx.tracer.span(obs::Phase::Enumerate);
+        match self.instance(q, db, ctx)? {
+            Some((pipeline, mut rels)) => {
+                Ok(pipeline.enumerate_in(&mut rels, &q.head_vars(), ctx)?)
+            }
+            None => {
+                let mut rel = Relation::new(0);
+                rel.push_row(&[]);
+                Ok((rel, false))
+            }
+        }
+    }
+
+    /// Count the satisfying assignments over `var(Q)` under `ctx`
+    /// (see [`counting::count_with`]).
+    pub fn count_in(
+        &self,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        ctx: ExecCtx<'_>,
+    ) -> Result<u128, EvalError> {
+        match self.instance(q, db, ctx)? {
+            Some((pipeline, rels)) => Ok(pipeline.count_in(&rels, ctx)?),
+            None => Ok(1), // the empty substitution
+        }
+    }
+
+    /// The acyclic instance the pipeline runs on: the bound atoms on a
+    /// join tree, or the Lemma 4.6 node relations of a decomposition.
+    /// `None` for a join-tree plan of an empty body.
+    fn instance(
+        &self,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        ctx: ExecCtx<'_>,
+    ) -> Result<Option<(Pipeline, Vec<Relation>)>, EvalError> {
+        ctx.budget.check("bind")?;
         match self {
             Strategy::JoinTree(jt) => {
                 let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    let mut rel = Relation::new(0);
-                    rel.push_row(&[]);
-                    return Ok(rel);
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.enumerate_sharded(&mut rels, &q.head_vars(), cfg))
+                Ok((!bound.is_empty()).then(|| pipeline_for(jt, bound)))
             }
-            Strategy::Hypertree(hd) => reduction::enumerate_via_hd_sharded(q, db, hd, cfg),
+            Strategy::Hypertree(hd) => {
+                Ok(Some(reduction::reduce_in(q, db, hd, ctx)?.into_pipeline()))
+            }
         }
     }
 }
@@ -207,10 +215,7 @@ impl Strategy {
 /// Compile a [`Pipeline`] for a join tree, moving each bound atom's
 /// relation into its tree slot (join trees visit every edge exactly once,
 /// so nothing is cloned).
-pub(crate) fn pipeline_for(
-    jt: &hypergraph::JoinTree,
-    bound: Vec<BoundAtom>,
-) -> (Pipeline, Vec<Relation>) {
+fn pipeline_for(jt: &hypergraph::JoinTree, bound: Vec<BoundAtom>) -> (Pipeline, Vec<Relation>) {
     let mut slots: Vec<Option<BoundAtom>> = bound.into_iter().map(Some).collect();
     let tree = jt.tree();
     let mut vars = Vec::with_capacity(tree.len());
@@ -331,14 +336,6 @@ mod tests {
         } else {
             panic!("e/f chain is acyclic");
         }
-        // Sharded execution is byte-identical here too.
-        let plan = Strategy::plan(&q);
-        let cfg = ShardConfig {
-            shards: 3,
-            min_rows: 0,
-        };
-        assert_eq!(plan.boolean_sharded(&q, &db, &cfg), Ok(true));
-        assert_eq!(plan.enumerate_sharded(&q, &db, &cfg).unwrap(), out);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! condition is exactly Condition 2 of Definition 4.1).
 
 use crate::binding::{bind_all, BoundAtom, EvalError};
+use crate::governed::{trip_to_error, ExecCtx};
 use cq::ConjunctiveQuery;
 use hypergraph::{Ix, RootedTree, VertexId};
 use hypertree_core::HypertreeDecomposition;
@@ -50,109 +51,31 @@ pub fn reduce(
     db: &Database,
     hd: &HypertreeDecomposition,
 ) -> Result<ReducedInstance, EvalError> {
-    reduce_with(q, db, hd, &|l, r, on, keep| ops::join(l, r, on, keep))
+    ExecCtx::unlimited(|ctx| reduce_in(q, db, hd, ctx))
 }
 
-/// [`reduce`] with the node-building joins hash-sharded across `cfg`
-/// shards once they are large enough (see [`crate::sharded`]) — on wide
-/// decompositions the `r^k` node joins dominate evaluation, so the
-/// reduction itself is part of the sharded pipeline. Byte-identical
-/// output instance.
-pub fn reduce_sharded(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-) -> Result<ReducedInstance, EvalError> {
-    let shards = cfg.effective_shards();
-    if shards <= 1 {
-        return reduce(q, db, hd);
-    }
-    let min_rows = cfg.min_rows;
-    reduce_with(q, db, hd, &move |l, r, on, keep| {
-        if l.len().max(r.len()) >= min_rows {
-            relation::shard::join_sharded(l, r, on, keep, shards)
-        } else {
-            ops::join(l, r, on, keep)
-        }
-    })
-}
-
-/// [`reduce_sharded`] under a [`hypertree_core::QueryBudget`]: every
-/// accumulator join is
+/// [`reduce`] under `ctx`, timed under the tracer's `reduce` span: every
+/// λ-atom projection, accumulator join and final node projection is
 /// metered (deadline polls at chunk granularity, intermediate bytes
-/// charged at the exact-size reserve points), sharded when large enough
-/// under `cfg`.
+/// charged at their sizing points, scanned rows tapped), and the budget
+/// is checked before every node.
 ///
 /// A trip unwinds the whole construction with the typed error — there is
 /// *no* truncating mode here. The node relations are inputs to later
 /// semijoin and join phases, and a silently shrunken node relation would
 /// drop answers without any marker; graceful degradation belongs to the
-/// output-producing join phase only (see
-/// [`crate::Pipeline::enumerate_governed`]). After the first trip the
-/// remaining node joins run on empty stand-ins, so unwinding costs O(tree)
-/// rather than finishing the expensive construction.
-pub fn reduce_governed(
+/// output-producing join phase only (see [`crate::Pipeline::enumerate_in`]).
+pub fn reduce_in(
     q: &ConjunctiveQuery,
     db: &Database,
     hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-    budget: &hypertree_core::QueryBudget,
-) -> Result<ReducedInstance, EvalError> {
-    reduce_observed(q, db, hd, cfg, budget, &obs::Tracer::off())
-}
-
-/// [`reduce_governed`] with the construction timed under the tracer's
-/// `reduce` span and its metered row scans tapped.
-pub fn reduce_observed(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-    budget: &hypertree_core::QueryBudget,
-    obs: &obs::Tracer,
+    ctx: ExecCtx<'_>,
 ) -> Result<ReducedInstance, EvalError> {
     const PHASE: &str = "reduce";
-    let _span = obs.span(obs::Phase::Reduce);
-    budget.check(PHASE)?;
-    let shards = cfg.effective_shards();
-    let min_rows = cfg.min_rows;
-    let meter = crate::governed::BudgetMeter::new(budget, PHASE).with_tap(obs.io());
-    // `reduce_with`'s join operator is infallible, so the first trip is
-    // parked here and every later join degenerates to an empty relation
-    // of the right arity (cheap, and discarded on unwind).
-    let tripped: std::cell::RefCell<Option<relation::meter::Trip>> = std::cell::RefCell::new(None);
-    let reduced = reduce_with(q, db, hd, &|l, r, on, keep| {
-        if tripped.borrow().is_some() {
-            return Relation::new(l.arity() + keep.len());
-        }
-        let result = if shards > 1 && l.len().max(r.len()) >= min_rows {
-            relation::shard::join_sharded_governed(l, r, on, keep, shards, &meter)
-        } else {
-            ops::join_governed(l, r, on, keep, &meter, false).map(|(out, _)| out)
-        };
-        match result {
-            Ok(out) => out,
-            Err(t) => {
-                *tripped.borrow_mut() = Some(t);
-                Relation::new(l.arity() + keep.len())
-            }
-        }
-    })?;
-    if let Some(t) = tripped.into_inner() {
-        return Err(crate::governed::trip_to_error(t, PHASE).into());
-    }
-    Ok(reduced)
-}
-
-/// The construction body, with the accumulator join operator abstracted
-/// out (sequential vs. hash-sharded).
-fn reduce_with(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    join: &crate::pipeline::JoinFn,
-) -> Result<ReducedInstance, EvalError> {
+    let _span = ctx.tracer.span(obs::Phase::Reduce);
+    ctx.budget.check(PHASE)?;
+    let meter = ctx.meter(PHASE);
+    let trip = |t| EvalError::from(trip_to_error(t, PHASE));
     let h = q.hypergraph();
     // The construction only leans on conditions 1–3 (coverage gives every
     // atom a home node, connectedness makes the tree a join tree of the
@@ -170,8 +93,8 @@ fn reduce_with(
 
     let tree = complete.tree().clone();
     let mut nodes = Vec::with_capacity(tree.len());
-    // archlint::allow(budget-polled-loops, reason = "ungoverned Lemma 4.6 reduction for budget-less callers; reduce_governed meters every kernel call")
     for p in tree.nodes() {
+        ctx.budget.check(PHASE)?;
         let chi: Vec<VertexId> = complete.chi(p).to_vec();
         // Start from the all-rows relation over zero columns and join in
         // each λ-atom, restricted to χ(p).
@@ -181,7 +104,6 @@ fn reduce_with(
             r.push_row(&[]);
             r
         };
-        // archlint::allow(budget-polled-loops, reason = "ungoverned Lemma 4.6 reduction for budget-less callers; reduce_governed meters every kernel call")
         for e in complete.lambda(p) {
             let atom = &bound[e.index()];
             // Columns of the atom that fall inside χ(p).
@@ -189,10 +111,15 @@ fn reduce_with(
                 .filter(|&i| chi.contains(&atom.vars[i]))
                 .collect();
             let restricted_vars: Vec<VertexId> = keep_cols.iter().map(|&i| atom.vars[i]).collect();
+            // An atom wholly inside χ(p) joins as it is (borrowed, so an
+            // index built on it serves every node it occurs in); any other
+            // is projected onto χ(p) first.
+            let projected;
             let restricted = if keep_cols.len() == atom.vars.len() {
-                atom.rel.clone()
+                &atom.rel
             } else {
-                ops::project(&atom.rel, &keep_cols)
+                projected = ops::project_metered(&atom.rel, &keep_cols, &meter).map_err(trip)?;
+                &projected
             };
             let pairs: Vec<(usize, usize)> = acc_vars
                 .iter()
@@ -202,7 +129,9 @@ fn reduce_with(
             let fresh: Vec<usize> = (0..restricted_vars.len())
                 .filter(|&j| !acc_vars.contains(&restricted_vars[j]))
                 .collect();
-            acc = join(&acc, &restricted, &pairs, &fresh);
+            acc = ops::join_metered(&acc, restricted, &pairs, &fresh, &meter, false)
+                .map_err(trip)?
+                .0;
             for j in fresh {
                 acc_vars.push(restricted_vars[j]);
             }
@@ -214,7 +143,8 @@ fn reduce_with(
         // being permuted into χ-order (bound atoms carry their own
         // variable lists, so downstream consumers do not care).
         if acc_vars.len() == chi.len() {
-            acc.dedup(); // no-op unless acc lost its distinctness proof
+            // A no-op unless acc lost its distinctness proof.
+            acc.dedup_metered(&meter).map_err(trip)?;
             nodes.push(BoundAtom {
                 vars: acc_vars,
                 rel: acc,
@@ -230,7 +160,7 @@ fn reduce_with(
                         .expect("condition 3: chi ⊆ var(lambda)")
                 })
                 .collect();
-            let rel = ops::project(&acc, &cols);
+            let rel = ops::project_metered(&acc, &cols, &meter).map_err(trip)?;
             nodes.push(BoundAtom { vars: chi, rel });
         }
     }
@@ -259,31 +189,6 @@ pub fn enumerate_via_hd(
 ) -> Result<Relation, EvalError> {
     let (pipeline, mut rels) = reduce(q, db, hd)?.into_pipeline();
     Ok(pipeline.enumerate(&mut rels, &q.head_vars()))
-}
-
-/// [`boolean_via_hd`] with the reduction and sweeps hash-sharded across
-/// `cfg` shards (see [`crate::sharded`]). Byte-identical answer.
-pub fn boolean_via_hd_sharded(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-) -> Result<bool, EvalError> {
-    let (pipeline, mut rels) = reduce_sharded(q, db, hd, cfg)?.into_pipeline();
-    Ok(pipeline.boolean_sharded(&mut rels, cfg))
-}
-
-/// [`enumerate_via_hd`] with the reduction, sweeps, and join phase
-/// hash-sharded across `cfg` shards (see [`crate::sharded`]).
-/// Byte-identical answer, row order included.
-pub fn enumerate_via_hd_sharded(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-) -> Result<Relation, EvalError> {
-    let (pipeline, mut rels) = reduce_sharded(q, db, hd, cfg)?.into_pipeline();
-    Ok(pipeline.enumerate_sharded(&mut rels, &q.head_vars(), cfg))
 }
 
 #[cfg(test)]
@@ -367,5 +272,58 @@ mod tests {
         let q = q1();
         let hd = HypertreeDecomposition::trivial(&q.hypergraph());
         assert!(boolean_via_hd(&q, &q1_db_true(), &hd).unwrap());
+    }
+
+    #[test]
+    fn byte_quota_trips_on_the_projection_of_a_wide_atom() {
+        use crate::{ExecCtx, Strategy};
+        use hypergraph::RootedTree;
+        use hypertree_core::{QueryBudget, QueryError};
+        // q :- s(A), w(A,B,C,D) under a two-node GHD: the root projects
+        // the wide atom w onto χ = {A}; the child joins s first, which
+        // keeps a single w row. Only the root's projection is large.
+        let q = parse_query("ans :- s(A), w(A,B,C,D).").unwrap();
+        let h = q.hypergraph();
+        let vset = |names: &[&str]| {
+            let mut s = h.empty_vertex_set();
+            for n in names {
+                s.insert(h.vertex_by_name(n).unwrap());
+            }
+            s
+        };
+        let eset = |names: &[&str]| {
+            let mut s = h.empty_edge_set();
+            for n in names {
+                s.insert(h.edge_by_name(n).unwrap());
+            }
+            s
+        };
+        let mut tree = RootedTree::new();
+        tree.add_child(tree.root());
+        let hd = HypertreeDecomposition::new(
+            tree,
+            vec![vset(&["A"]), vset(&["A", "B", "C", "D"])],
+            vec![eset(&["w"]), eset(&["s", "w"])],
+        );
+        assert_eq!(hd.validate_ghd(&h), Ok(()));
+        let mut db = Database::new();
+        db.add_fact("s", &[0]);
+        db.add_fact("w", &[0, 0, 0, 0]);
+        for i in 1..10_000u64 {
+            db.add_fact("w", &[1, i, i, i]);
+        }
+        let plan = Strategy::from_decomposition(hd);
+        assert_eq!(plan.boolean(&q, &db), Ok(true));
+        // π_A(w) copies 10 000 values (80 000 bytes) before it dedups to
+        // two rows; every join here stays under 100 bytes.
+        let budget = QueryBudget::unlimited().with_byte_quota(40_000);
+        let tracer = obs::Tracer::off();
+        let err = plan
+            .boolean_in(&q, &db, ExecCtx::new(&budget, &tracer))
+            .unwrap_err();
+        assert!(
+            matches!(err, EvalError::Budget(QueryError::MemoryBudgetExceeded { bytes }) if bytes > 40_000),
+            "{err:?}"
+        );
     }
 }

@@ -135,7 +135,7 @@ pub struct AutoDecomposition {
 /// examinations per level. Small instances come back exact; large ones
 /// fall back to the validated heuristic witness instead of hanging.
 pub fn decompose_auto(h: &Hypergraph, exact_steps: u64) -> AutoDecomposition {
-    decompose_auto_governed(h, exact_steps, None, &QueryBudget::unlimited())
+    decompose_auto_within(h, exact_steps, None, &QueryBudget::unlimited())
         .expect("an unlimited budget never trips")
 }
 
@@ -151,7 +151,7 @@ pub fn decompose_auto(h: &Hypergraph, exact_steps: u64) -> AutoDecomposition {
 /// budget's own deadline. An exact search that trips either bound falls
 /// back to the validated heuristic witness ([`Provenance::Heuristic`])
 /// instead of erroring; only cancellation aborts outright at that point.
-pub fn decompose_auto_governed(
+pub fn decompose_auto_within(
     h: &Hypergraph,
     exact_steps: u64,
     exact_deadline: Option<Instant>,
@@ -298,14 +298,14 @@ mod tests {
     fn governed_planning_degrades_and_cancels() {
         let q = workloads::families::grid(4, 4);
         let h = q.hypergraph();
-        // Unlimited budget: identical to the ungoverned funnel.
+        // Unlimited budget: identical to the budget-less funnel.
         let plain = decompose_auto(&h, 1);
-        let governed = decompose_auto_governed(&h, 1, None, &QueryBudget::unlimited()).unwrap();
+        let governed = decompose_auto_within(&h, 1, None, &QueryBudget::unlimited()).unwrap();
         assert_eq!(governed.provenance, plain.provenance);
         assert_eq!(governed.hd.width(), plain.hd.width());
         // An already-elapsed exact-search deadline: the heuristic witness
         // still comes back, marked as such.
-        let auto = decompose_auto_governed(
+        let auto = decompose_auto_within(
             &h,
             u64::MAX,
             Some(Instant::now()),
@@ -317,14 +317,14 @@ mod tests {
         // A budget that trips before any witness exists is a hard error.
         let b = QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         assert_eq!(
-            decompose_auto_governed(&h, 1, None, &b).unwrap_err(),
+            decompose_auto_within(&h, 1, None, &b).unwrap_err(),
             QueryError::DeadlineExceeded { phase: "plan" }
         );
         // Cancellation aborts outright, witness or not.
         let b = QueryBudget::unlimited();
         b.cancel();
         assert_eq!(
-            decompose_auto_governed(&h, 1, None, &b).unwrap_err(),
+            decompose_auto_within(&h, 1, None, &b).unwrap_err(),
             QueryError::Cancelled
         );
     }

@@ -102,7 +102,7 @@ impl Index {
             let mut map: FxHashMap<Box<[Value]>, u32> = FxHashMap::default();
             map.reserve(n);
             let mut buf: Vec<Value> = Vec::with_capacity(cols.len());
-            // archlint::allow(budget-polled-loops, reason = "index build is bounded by the relation being indexed; governed kernels charge before building")
+            // archlint::allow(budget-polled-loops, reason = "index build is bounded by the relation being indexed; metered kernels charge before building")
             for i in 0..n {
                 let row = rel.row(i);
                 buf.clear();

@@ -33,7 +33,6 @@ pub mod index;
 pub mod meter;
 pub mod ops;
 mod relation;
-pub mod shard;
 pub mod stats;
 
 pub use database::{Database, Dictionary};

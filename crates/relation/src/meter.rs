@@ -2,35 +2,36 @@
 //!
 //! The resource-governance layer (`hypertree_core::budget::QueryBudget`)
 //! lives *above* this crate in the dependency order, so the kernels
-//! cannot see it directly — the same layering that gives
-//! [`crate::shard`] its own `parallel_map`. Instead the kernels meter
+//! cannot see it directly. Instead every kernel has one body that meters
 //! through this minimal trait: the `eval` crate (which sees both) adapts
-//! a `QueryBudget` into a [`CostMeter`], and ungoverned callers keep
-//! using the unmetered operators, which this module does not touch.
+//! a `QueryBudget` into a [`CostMeter`], and callers without a budget
+//! pass [`NoMeter`] (the plain-signature kernels such as `ops::join` and
+//! [`crate::Relation::dedup`] are one-line delegations doing exactly
+//! that).
 //!
-//! Contract for metered kernels (`ops::join_governed`,
-//! [`crate::Relation::retain_semijoin_cols_governed`],
-//! [`crate::Relation::dedup_governed`], `shard::*_governed`):
+//! Contract for the metered kernels (`ops::join_metered`,
+//! `ops::project_metered`, [`crate::Relation::retain_semijoin_cols_metered`],
+//! [`crate::Relation::dedup_metered`]):
 //!
-//! * **Chunk granularity** — [`CostMeter::tick`] is polled once per
-//!   [`METER_CHUNK`] rows (and at least once per kernel call), so the
-//!   polling overhead is amortised to nothing while a trip is observed
-//!   within one chunk of work.
+//! * **Chunk granularity** — [`CostMeter::tick`] is polled at least
+//!   once per kernel call, and once per [`METER_CHUNK`] rows in the join
+//!   kernel, whose output can outgrow its inputs; the single-pass
+//!   kernels (projection, dedup, semijoin) poll once for their whole,
+//!   input-linear pass.
 //! * **Byte accounting** — [`CostMeter::charge_bytes`] is called for
-//!   intermediate allocations at their sizing points (the join kernels'
-//!   exact-size reserve, dedup's rebuilt row store, semijoin keep-flag
-//!   scratch). Charges are cumulative: the meter sees what the run
-//!   allocated in total, not what is live.
+//!   intermediate allocations at their sizing points (the join kernel's
+//!   output reserve, a projection's copy, dedup's rebuilt row store).
+//!   Charges are cumulative: the meter sees what the run allocated in
+//!   total, not what is live.
 //! * **Abort safety** — a kernel that returns [`Trip`] leaves its inputs
 //!   exactly as they were: in-place operators poll and probe *before*
 //!   the first mutation, and fresh outputs under construction are simply
 //!   dropped. A budget-tripped run is observationally side-effect-free
 //!   on the database.
 
-/// Rows per meter poll: the same chunk size the sharded pipeline uses as
-/// its parallelism threshold — small enough to bound trip latency, large
-/// enough that a poll (two atomic loads and, under a deadline, one clock
-/// read) vanishes against the per-row work.
+/// Rows per meter poll: small enough to bound trip latency, large enough
+/// that a poll (two atomic loads and, under a deadline, one clock read)
+/// vanishes against the per-row work.
 pub const METER_CHUNK: usize = 4096;
 
 /// Why a metered kernel stopped early. The `eval` crate maps this (plus
@@ -48,10 +49,9 @@ pub enum Trip {
     Cancelled,
 }
 
-/// The metering hook the governed kernels poll. Implementations must be
-/// cheap — both methods sit on (chunked) hot paths — and `Sync`, because
-/// the sharded kernels poll one meter from several scoped workers.
-pub trait CostMeter: Sync {
+/// The metering hook the kernels poll. Implementations must be cheap —
+/// both methods sit on (chunked) hot paths.
+pub trait CostMeter {
     /// Poll for deadline/cancellation after processing `units` more rows
     /// (advisory; called at chunk granularity).
     fn tick(&self, units: u64) -> Result<(), Trip>;
@@ -61,8 +61,8 @@ pub trait CostMeter: Sync {
     fn charge_bytes(&self, bytes: u64) -> Result<(), Trip>;
 }
 
-/// The no-op meter: never trips, never counts. Governed entry points
-/// called without a real budget pass this; the optimiser erases it.
+/// The no-op meter: never trips, never counts. Kernel calls without a
+/// budget pass this.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoMeter;
 
@@ -75,6 +75,16 @@ impl CostMeter for NoMeter {
     #[inline]
     fn charge_bytes(&self, _bytes: u64) -> Result<(), Trip> {
         Ok(())
+    }
+}
+
+/// The result of a kernel run under [`NoMeter`]. Its `tick` and
+/// `charge_bytes` always return `Ok`, so such a run cannot trip.
+pub(crate) fn unmetered<T>(run: Result<T, Trip>) -> T {
+    match run {
+        Ok(v) => v,
+        // archlint::allow(panic-free-request-path, reason = "only called on runs under NoMeter, whose tick and charge_bytes never return Err")
+        Err(t) => unreachable!("NoMeter never trips, got {t:?}"),
     }
 }
 

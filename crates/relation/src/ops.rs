@@ -13,21 +13,13 @@
 //! ([`Relation::retain_semijoin`], [`Relation::retain_select`]), which the
 //! evaluation pipeline prefers.
 
-use crate::meter::{CostMeter, Trip, METER_CHUNK};
+use crate::meter::{unmetered, CostMeter, NoMeter, Trip, METER_CHUNK};
 use crate::relation::{Relation, Value};
 
 /// `π_cols(r)` with set semantics (duplicates removed). Columns may repeat
-/// and reorder.
-///
-/// Fast paths when the input is known to be a set: an identity column
-/// list is answered by a clone (sharing the cached indexes), and a column
-/// list that merely *permutes* the columns copies rows without any
-/// deduplication — a permutation of a set is still a set. The Lemma 4.6
-/// reduction's final per-node projections are exactly such permutations.
+/// and reorder. [`project_metered`] without a budget.
 pub fn project(r: &Relation, cols: &[usize]) -> Relation {
-    let mut out = project_no_dedup(r, cols);
-    out.dedup();
-    out
+    unmetered(project_metered(r, cols, &NoMeter))
 }
 
 /// `true` iff `cols` names each of `0..cols.len()` exactly once.
@@ -68,51 +60,15 @@ pub fn select_eq(r: &Relation, a: usize, b: usize) -> Relation {
 /// Hash join of `left` and `right` on the column pairs `on`
 /// (`left[l] = right[r]` for each `(l, r)` in `on`). The output schema is
 /// all columns of `left` followed by `right_keep` columns of `right`.
-/// With `on` empty this is a cartesian product.
+/// With `on` empty this is a cartesian product. [`join_metered`] without
+/// a budget.
 pub fn join(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
     right_keep: &[usize],
 ) -> Relation {
-    let mut out = Relation::new(left.arity() + right_keep.len());
-    if out.arity() == 0 {
-        // Both sides nullary: the output is `{()}` iff both are non-empty.
-        if !left.is_empty() && !right.is_empty() {
-            out.push_row(&[]);
-        }
-        return out;
-    }
-    let (sorted, distinct) = join_output_flags(left, right, on, right_keep);
-    if on.is_empty() {
-        // Cartesian product: one conceptual group holding every right
-        // row — no index, no hashing, exact-size output.
-        out.reserve_rows(left.len() * right.len());
-        for lrow in left.rows() {
-            for rrow in right.rows() {
-                out.extend_joined(lrow, rrow, right_keep);
-            }
-        }
-        out.set_flags(sorted, distinct);
-        return out;
-    }
-    let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let index = right.index_on(&right_cols);
-    // Exact-size the output in one cheap probe pass: large results then
-    // live in a single allocation instead of a doubling realloc chain.
-    let mut out_rows = 0usize;
-    for lrow in left.rows() {
-        out_rows += index.probe_rows(lrow, &left_cols).len();
-    }
-    out.reserve_rows(out_rows);
-    for lrow in left.rows() {
-        for &ri in index.probe_rows(lrow, &left_cols) {
-            out.extend_joined(lrow, right.row(ri as usize), right_keep);
-        }
-    }
-    out.set_flags(sorted, distinct);
-    out
+    unmetered(join_metered(left, right, on, right_keep, &NoMeter, false)).0
 }
 
 /// Structural flags `(sorted, distinct)` for the output of a join. The
@@ -120,10 +76,8 @@ pub fn join(
 /// together with the join columns, cover every right column (two matching
 /// right rows then can only produce equal output rows by being equal
 /// themselves); it is additionally sorted for cartesian products of
-/// sorted sets that keep the right columns verbatim. Shared by
-/// [`join`], [`join_governed`] and the sharded kernel so the rule cannot
-/// drift between them.
-pub(crate) fn join_output_flags(
+/// sorted sets that keep the right columns verbatim.
+fn join_output_flags(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
@@ -144,20 +98,24 @@ pub(crate) fn join_output_flags(
     (sorted, distinct)
 }
 
-/// [`join`] under a [`CostMeter`]: the probe and build loops poll
-/// `meter.tick` once per [`METER_CHUNK`] rows, and the output allocation
-/// is charged through `meter.charge_bytes` before it is made.
+/// The hash join under a [`CostMeter`] (see [`join`] for the operator):
+/// the probe pass polls `meter.tick` once per [`METER_CHUNK`] left rows
+/// and the build pass once per [`METER_CHUNK`] output rows (at left-row
+/// granularity), and the output allocation is charged through
+/// `meter.charge_bytes` before it is made. Cartesian products (`on`
+/// empty) build no index and visit every right row per left row.
 ///
-/// Returns `(output, truncated)`. With `truncate_on_memory == false` a
-/// memory trip aborts the join (`Err(Trip::Memory)`). With it `true`, the
-/// build charges its output in [`METER_CHUNK`]-row instalments and a
-/// memory trip stops the build instead: the rows already built are
-/// returned with `truncated == true`. A truncated output is a *prefix* of
-/// the full output, hence a sound subset — the degraded-enumeration mode
-/// of the governance ladder. Deadline and cancellation trips always
-/// abort; there is no useful partial answer to a caller that has run out
-/// of time.
-pub fn join_governed(
+/// Returns `(output, truncated)`. With `truncate_on_memory == false` the
+/// whole output is charged and reserved up front (one exact-size
+/// allocation), so a memory trip aborts the join (`Err(Trip::Memory)`).
+/// With it `true`, the build charges its output in [`METER_CHUNK`]-row
+/// instalments and a memory trip stops the build instead: the rows
+/// already granted are returned with `truncated == true`. A truncated
+/// output is a *prefix* of the full output, hence a sound subset — the
+/// degraded-enumeration mode of the governance ladder. Deadline and
+/// cancellation trips always abort; there is no useful partial answer to
+/// a caller that has run out of time.
+pub fn join_metered(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
@@ -167,6 +125,7 @@ pub fn join_governed(
 ) -> Result<(Relation, bool), Trip> {
     let mut out = Relation::new(left.arity() + right_keep.len());
     if out.arity() == 0 {
+        // Both sides nullary: the output is `{()}` iff both are non-empty.
         meter.tick(1)?;
         if !left.is_empty() && !right.is_empty() {
             out.push_row(&[]);
@@ -175,121 +134,101 @@ pub fn join_governed(
     }
     let (sorted, distinct) = join_output_flags(left, right, on, right_keep);
     let row_bytes = (out.arity() * std::mem::size_of::<Value>()) as u64;
-
-    // Probe pass: exact output size, polling per chunk of left rows.
     let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let index = if on.is_empty() {
-        None
-    } else {
-        Some(right.index_on(&right_cols))
-    };
+    let index = (!on.is_empty()).then(|| right.index_on(&right_cols));
+    // The right rows joining a left row: its probe group, or (`None`)
+    // every right row for a cartesian product.
+    let probe = |lrow: &[Value]| index.as_deref().map(|ix| ix.probe_rows(lrow, &left_cols));
+
+    // Probe pass: the exact output size.
     let mut out_rows = 0usize;
     for (i, lrow) in left.rows().enumerate() {
         if i.is_multiple_of(METER_CHUNK) {
             meter.tick(METER_CHUNK.min(left.len() - i) as u64)?;
         }
-        out_rows += match &index {
-            Some(index) => index.probe_rows(lrow, &left_cols).len(),
-            None => right.len(),
-        };
+        out_rows += probe(lrow).map_or(right.len(), <[u32]>::len);
     }
 
-    // Build pass. `matches` yields the right-row indices joining each left
-    // row; a cartesian product joins every right row.
-    let matches = |lrow: &[Value]| -> MatchIter<'_> {
-        match &index {
-            Some(index) => MatchIter::Probed(index.probe_rows(lrow, &left_cols).iter()),
-            None => MatchIter::All(0..right.len() as u32),
-        }
-    };
-    let mut truncated = false;
-    let mut built = 0usize;
-    // Rows granted by the meter so far; in non-truncating mode the whole
-    // output is charged (and reserved) up front, keeping the exact-size
-    // single allocation of the unmetered kernel.
+    // Build pass; `granted` counts the rows charged so far.
     let mut granted = 0usize;
     if !truncate_on_memory {
         meter.charge_bytes(out_rows as u64 * row_bytes)?;
         out.reserve_rows(out_rows);
         granted = out_rows;
     }
-    'build: for lrow in left.rows() {
-        for ri in matches(lrow) {
-            if built == granted {
-                debug_assert!(truncate_on_memory, "up-front grant covers every row");
-                let step = METER_CHUNK.min(out_rows - built);
-                match meter.charge_bytes(step as u64 * row_bytes) {
-                    Ok(()) => {
-                        out.reserve_rows(step);
-                        granted += step;
-                    }
-                    Err(Trip::Memory { .. }) => {
-                        truncated = true;
-                        break 'build;
-                    }
-                    Err(trip) => return Err(trip),
+    let (mut built, mut polled, mut truncated) = (0usize, 0usize, false);
+    for lrow in left.rows() {
+        let matches = probe(lrow);
+        let mut take = matches.map_or(right.len(), <[u32]>::len);
+        while built + take > granted {
+            let step = METER_CHUNK.min(out_rows - granted);
+            match meter.charge_bytes(step as u64 * row_bytes) {
+                Ok(()) => {
+                    out.reserve_rows(step);
+                    granted += step;
+                }
+                Err(Trip::Memory { .. }) => {
+                    truncated = true;
+                    take = granted - built;
+                    break;
+                }
+                Err(trip) => return Err(trip),
+            }
+        }
+        match matches {
+            Some(rows) => {
+                for &ri in &rows[..take] {
+                    out.extend_joined(lrow, right.row(ri as usize), right_keep);
                 }
             }
-            if built.is_multiple_of(METER_CHUNK) {
-                meter.tick(METER_CHUNK.min(out_rows - built) as u64)?;
+            None => {
+                for rrow in right.rows().take(take) {
+                    out.extend_joined(lrow, rrow, right_keep);
+                }
             }
-            out.extend_joined(lrow, right.row(ri as usize), right_keep);
-            built += 1;
+        }
+        built += take;
+        if truncated {
+            break;
+        }
+        if built - polled >= METER_CHUNK {
+            meter.tick((built - polled) as u64)?;
+            polled = built;
         }
     }
     out.set_flags(sorted, distinct);
     Ok((out, truncated))
 }
 
-enum MatchIter<'a> {
-    Probed(std::slice::Iter<'a, u32>),
-    All(std::ops::Range<u32>),
-}
-
-impl Iterator for MatchIter<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            MatchIter::Probed(it) => it.next().copied(),
-            MatchIter::All(r) => r.next(),
-        }
-    }
-}
-
-/// [`project`] under a [`CostMeter`]: charges the projected copy and
-/// polls per chunk; the trailing deduplication goes through
-/// [`Relation::dedup_governed`]. Projections never truncate — they only
-/// ever shrink their input, so the join kernels are where degradation
-/// pays off.
-pub fn project_governed(
+/// The projection under a [`CostMeter`] (see [`project`] for the
+/// operator): charges the projected copy, polls once, and deduplicates
+/// through [`Relation::dedup_metered`]. Projections never truncate —
+/// they only ever shrink their input, so the join kernel is where
+/// degradation pays off.
+///
+/// Fast paths when the input is known to be a set: an identity column
+/// list is answered by a clone (sharing the cached indexes), and a column
+/// list that merely *permutes* the columns copies rows without any
+/// deduplication — a permutation of a set is still a set. The Lemma 4.6
+/// reduction's final per-node projections are exactly such permutations.
+pub fn project_metered(
     r: &Relation,
     cols: &[usize],
     meter: &dyn CostMeter,
 ) -> Result<Relation, Trip> {
     meter.tick(r.len() as u64)?;
     meter.charge_bytes((r.len() * cols.len() * std::mem::size_of::<Value>()) as u64)?;
-    let mut out = project_no_dedup(r, cols);
-    out.dedup_governed(meter)?;
-    Ok(out)
-}
-
-/// The shared body of [`project`] / [`project_governed`]: the projected
-/// copy with fast paths, *before* the general path's deduplication. The
-/// returned relation's flags already reflect whether dedup is needed.
-fn project_no_dedup(r: &Relation, cols: &[usize]) -> Relation {
     if r.is_set() && cols.len() == r.arity() && is_permutation(cols) {
         if cols.iter().enumerate().all(|(i, &c)| i == c) {
-            return r.clone();
+            return Ok(r.clone());
         }
         let mut out = Relation::with_capacity(cols.len(), r.len());
         for row in r.rows() {
             out.extend_projected(row, cols);
         }
         out.set_flags(false, true);
-        return out;
+        return Ok(out);
     }
     let mut out = Relation::with_capacity(cols.len(), r.len());
     let mut buf: Vec<Value> = Vec::with_capacity(cols.len());
@@ -298,7 +237,8 @@ fn project_no_dedup(r: &Relation, cols: &[usize]) -> Relation {
         buf.extend(cols.iter().map(|&c| row[c]));
         out.push_row(&buf);
     }
-    out
+    out.dedup_metered(meter)?;
+    Ok(out)
 }
 
 /// Semijoin `left ⋉ right` on the column pairs `on`: the rows of `left`
@@ -427,18 +367,29 @@ mod tests {
     fn governed_join_with_no_meter_matches_the_unmetered_kernel() {
         let a = r(&[[1, 10], [2, 20], [3, 30]]);
         let b = r(&[[10, 100], [10, 101], [30, 300]]);
-        let (j, truncated) =
-            join_governed(&a, &b, &[(1, 0)], &[1], &crate::meter::NoMeter, false).unwrap();
-        assert!(!truncated);
-        let seq = join(&a, &b, &[(1, 0)], &[1]);
-        assert_eq!(j, seq);
-        assert_eq!(j.is_set(), seq.is_set());
-        // Cartesian path too.
-        let (c, truncated) =
-            join_governed(&a, &b, &[], &[0], &crate::meter::NoMeter, true).unwrap();
-        assert!(!truncated);
-        assert_eq!(c, join(&a, &b, &[], &[0]));
-        assert_eq!(c.is_sorted_set(), join(&a, &b, &[], &[0]).is_sorted_set());
+        // Truncating or not, an unmetered run builds the whole join, row
+        // order included: a nested loop over `a` then `b`.
+        for truncate in [false, true] {
+            let (j, truncated) =
+                join_metered(&a, &b, &[(1, 0)], &[1], &crate::meter::NoMeter, truncate).unwrap();
+            assert!(!truncated);
+            let nested: Vec<Vec<Value>> = a
+                .rows()
+                .flat_map(|l| {
+                    b.rows()
+                        .filter(move |r| r[0] == l[1])
+                        .map(move |r| vec![l[0], l[1], r[1]])
+                })
+                .collect();
+            assert_eq!(j.rows().map(<[Value]>::to_vec).collect::<Vec<_>>(), nested);
+            assert!(j.is_set());
+            // Cartesian path too: sorted sets in, sorted set out.
+            let (c, truncated) =
+                join_metered(&a, &b, &[], &[0, 1], &crate::meter::NoMeter, truncate).unwrap();
+            assert!(!truncated);
+            assert_eq!(c.len(), a.len() * b.len());
+            assert!(c.is_sorted_set());
+        }
     }
 
     #[test]
@@ -447,7 +398,7 @@ mod tests {
         let rows: Vec<[u64; 2]> = (0..100).map(|i| [i, i]).collect();
         let a = Relation::from_rows(2, &rows);
         let meter = TripAfter::new(0, Trip::Deadline);
-        let err = join_governed(&a, &a, &[(0, 0)], &[1], &meter, true).unwrap_err();
+        let err = join_metered(&a, &a, &[(0, 0)], &[1], &meter, true).unwrap_err();
         assert_eq!(err, Trip::Deadline);
     }
 
@@ -460,7 +411,7 @@ mod tests {
         // which still grants the first METER_CHUNK-row instalment, so the
         // partial result is non-trivial.
         let quota = ByteQuota::new(70_000);
-        let (out, truncated) = join_governed(&a, &a, &[], &[0], &quota, true).unwrap();
+        let (out, truncated) = join_metered(&a, &a, &[], &[0], &quota, true).unwrap();
         assert!(truncated, "quota must have tripped");
         assert!(!out.is_empty(), "truncation keeps the rows already built");
         assert!(out.len() < 10_000);
@@ -471,7 +422,7 @@ mod tests {
         }
         // Without truncation the same quota is a hard error.
         let quota = ByteQuota::new(1024);
-        let err = join_governed(&a, &a, &[], &[0], &quota, false).unwrap_err();
+        let err = join_metered(&a, &a, &[], &[0], &quota, false).unwrap_err();
         assert!(matches!(err, Trip::Memory { bytes } if bytes > 1024));
     }
 
@@ -479,10 +430,10 @@ mod tests {
     fn governed_project_matches_and_trips() {
         use crate::meter::{testing::ByteQuota, NoMeter, Trip};
         let rel = r(&[[1, 10], [2, 10], [1, 10]]);
-        let p = project_governed(&rel, &[1], &NoMeter).unwrap();
+        let p = project_metered(&rel, &[1], &NoMeter).unwrap();
         assert_eq!(p, project(&rel, &[1]));
         let tiny = ByteQuota::new(4);
-        let err = project_governed(&rel, &[1], &tiny).unwrap_err();
+        let err = project_metered(&rel, &[1], &tiny).unwrap_err();
         assert!(matches!(err, Trip::Memory { .. }));
     }
 

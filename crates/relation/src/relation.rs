@@ -254,17 +254,37 @@ impl Relation {
     /// be a set; otherwise sort-based: afterwards the rows are in
     /// ascending lexicographic order and [`Relation::is_sorted_set`]
     /// holds, so a second `dedup` (and every dedup after a row-filtering
-    /// operation) is free.
+    /// operation) is free. [`Relation::dedup_metered`] without a budget.
+    pub fn dedup(&mut self) {
+        crate::meter::unmetered(self.dedup_metered(&crate::meter::NoMeter));
+    }
+
+    /// [`Relation::dedup`] under a [`CostMeter`](crate::meter::CostMeter):
+    /// polls once up front and charges the rebuilt row store (plus the
+    /// sort scratch) before running. The poll granularity is the whole
+    /// call rather than [`METER_CHUNK`](crate::meter::METER_CHUNK) — dedup
+    /// rebuilds `self.data` in one atomic swap, so there is no prefix
+    /// worth keeping, and its inputs are bounded by joins that were
+    /// themselves metered.
     ///
     /// When the whole row bit-packs into a `u128` (per-column widths from
     /// the column maxima — always for arity ≤ 2 and for any arity over
     /// small interned domains), the sort runs over packed keys, whose
     /// order is exactly the lexicographic row order; wider rows fall back
     /// to slice comparisons.
-    pub fn dedup(&mut self) {
+    ///
+    /// Abort-safe: a trip surfaces before the sort starts and the swap at
+    /// the end is the only mutation, so `Err` leaves `self` untouched.
+    pub fn dedup_metered(
+        &mut self,
+        meter: &dyn crate::meter::CostMeter,
+    ) -> Result<(), crate::meter::Trip> {
         if self.arity == 0 || self.distinct || self.sorted {
-            return;
+            return Ok(());
         }
+        meter.tick(self.len() as u64)?;
+        // Rebuilt row store + (key, index) sort scratch, both ~|data|.
+        meter.charge_bytes(2 * (self.data.len() * std::mem::size_of::<Value>()) as u64)?;
         let n = self.len();
         let arity = self.arity;
         let mut maxes = vec![0u64; arity];
@@ -318,29 +338,6 @@ impl Relation {
         self.distinct = true;
         self.sorted = true;
         self.invalidate();
-    }
-
-    /// [`Relation::dedup`] under a [`CostMeter`](crate::meter::CostMeter):
-    /// polls once up front and charges the rebuilt row store (plus the
-    /// sort scratch) before running. The poll granularity is the whole
-    /// call rather than [`METER_CHUNK`](crate::meter::METER_CHUNK) — dedup
-    /// rebuilds `self.data` in one atomic swap, so there is no prefix
-    /// worth keeping, and its inputs are bounded by joins that were
-    /// themselves metered.
-    ///
-    /// Abort-safe: a trip surfaces before the sort starts and the swap at
-    /// the end is the only mutation, so `Err` leaves `self` untouched.
-    pub fn dedup_governed(
-        &mut self,
-        meter: &dyn crate::meter::CostMeter,
-    ) -> Result<(), crate::meter::Trip> {
-        if self.arity == 0 || self.distinct || self.sorted {
-            return Ok(());
-        }
-        meter.tick(self.len() as u64)?;
-        // Rebuilt row store + (key, index) sort scratch, both ~|data|.
-        meter.charge_bytes(2 * (self.data.len() * std::mem::size_of::<Value>()) as u64)?;
-        self.dedup();
         Ok(())
     }
 
@@ -405,38 +402,33 @@ impl Relation {
 
     /// [`Relation::retain_semijoin`] with the column lists already split
     /// out — the form the evaluation pipeline precomputes per join-tree
-    /// edge.
+    /// edge. [`Relation::retain_semijoin_cols_metered`] without a budget.
     pub fn retain_semijoin_cols(
         &mut self,
         left_cols: &[usize],
         right: &Relation,
         right_cols: &[usize],
     ) {
-        assert_eq!(left_cols.len(), right_cols.len(), "join column mismatch");
-        if left_cols.is_empty() {
-            if right.is_empty() {
-                self.clear();
-            }
-            return;
-        }
-        let index = right.index_on(right_cols);
-        self.retain(|row| index.contains(row, left_cols));
+        crate::meter::unmetered(self.retain_semijoin_cols_metered(
+            left_cols,
+            right,
+            right_cols,
+            &crate::meter::NoMeter,
+        ));
     }
 
     /// [`Relation::retain_semijoin_cols`] under a
-    /// [`CostMeter`](crate::meter::CostMeter): the probe loop polls
-    /// `meter.tick` once per [`METER_CHUNK`](crate::meter::METER_CHUNK)
-    /// rows and the keep-flag scratch is charged.
+    /// [`CostMeter`](crate::meter::CostMeter): polls once up front for
+    /// the whole relation, then filters in one pass. Like
+    /// [`Relation::dedup_metered`], the poll granularity is the whole
+    /// call: the pass is linear in `self`, which a metered join (or
+    /// binding) produced, and a finer poll would need a second pass over
+    /// a keep-flag vector to stay abort-safe.
     ///
-    /// Abort-safe by construction: every poll that can trip happens
-    /// *before* the first mutation, so `Err` guarantees `self` is
-    /// untouched and the next query sees an uncorrupted relation. A
-    /// relation within one chunk polls exactly once up front and then
-    /// runs the single-pass unmetered compaction (no scratch, no second
-    /// scan — this is the hot case on microsecond-scale queries); a
-    /// larger one probes over `&self` into a flag vector at chunk
-    /// granularity and compacts only once every row has been probed.
-    pub fn retain_semijoin_cols_governed(
+    /// Abort-safe: the only poll that can trip happens before the first
+    /// mutation, so `Err` guarantees `self` is untouched and the next
+    /// query sees an uncorrupted relation.
+    pub fn retain_semijoin_cols_metered(
         &mut self,
         left_cols: &[usize],
         right: &Relation,
@@ -444,32 +436,15 @@ impl Relation {
         meter: &dyn crate::meter::CostMeter,
     ) -> Result<(), crate::meter::Trip> {
         assert_eq!(left_cols.len(), right_cols.len(), "join column mismatch");
+        meter.tick(self.len().max(1) as u64)?;
         if left_cols.is_empty() {
-            meter.tick(1)?;
             if right.is_empty() {
                 self.clear();
             }
             return Ok(());
         }
-        let n = self.len();
-        if n <= crate::meter::METER_CHUNK {
-            meter.tick(n as u64)?;
-            let index = right.index_on(right_cols);
-            self.retain(|row| index.contains(row, left_cols));
-            return Ok(());
-        }
         let index = right.index_on(right_cols);
-        meter.charge_bytes(n as u64)?; // keep-flag scratch, one byte per row
-        let mut keep = vec![false; n];
-        for (i, flag) in keep.iter_mut().enumerate() {
-            if i.is_multiple_of(crate::meter::METER_CHUNK) {
-                meter.tick(crate::meter::METER_CHUNK.min(n - i) as u64)?;
-            }
-            *flag = index.contains(self.row(i), left_cols);
-        }
-        let mut flags = keep.iter();
-        // archlint::allow(panic-free-request-path, reason = "retain_semijoin builds exactly one flag per row two lines up; silent row loss would be worse")
-        self.retain(|_| *flags.next().expect("one keep flag per row"));
+        self.retain(|row| index.contains(row, left_cols));
         Ok(())
     }
 
@@ -490,27 +465,6 @@ impl Relation {
     pub(crate) fn extend_projected(&mut self, row: &[Value], cols: &[usize]) {
         debug_assert_eq!(cols.len(), self.arity, "row arity mismatch");
         self.data.extend(cols.iter().map(|&c| row[c]));
-    }
-
-    /// Append `row` verbatim — the bulk-scatter inner loop of
-    /// [`crate::shard`]. Crate-internal; same contract as
-    /// [`Relation::extend_joined`].
-    #[inline]
-    pub(crate) fn extend_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.arity, "row arity mismatch");
-        self.data.extend_from_slice(row);
-    }
-
-    /// Append every row of `other` verbatim, preserving order — the
-    /// shard-merge inner loop of [`crate::shard`]. Crate-internal; same
-    /// contract as [`Relation::extend_joined`].
-    pub(crate) fn extend_all_rows(&mut self, other: &Relation) {
-        debug_assert_eq!(other.arity, self.arity, "row arity mismatch");
-        if self.arity == 0 {
-            self.nullary |= other.nullary;
-            return;
-        }
-        self.data.extend_from_slice(&other.data);
     }
 
     /// Reserve space for `rows` additional rows.
@@ -586,8 +540,8 @@ mod tests {
     #[test]
     fn governed_semijoin_trip_leaves_the_relation_untouched() {
         use crate::meter::{testing::TripAfter, NoMeter, Trip};
-        // 50 rows exercises the single-chunk fast path, METER_CHUNK + 10
-        // the flag-vector path — the abort-safety contract is the same.
+        // Small and larger-than-a-chunk relations alike: the abort-safety
+        // contract does not depend on the size.
         for n in [50u64, crate::meter::METER_CHUNK as u64 + 10] {
             let rows: Vec<[u64; 2]> = (0..n).map(|i| [i % 7, i]).collect();
             let mut left = Relation::from_rows(2, &rows);
@@ -596,7 +550,7 @@ mod tests {
             // Trip on the very first poll: the probe aborts before retain.
             let meter = TripAfter::new(0, Trip::Cancelled);
             let err = left
-                .retain_semijoin_cols_governed(&[0], &filter, &[0], &meter)
+                .retain_semijoin_cols_metered(&[0], &filter, &[0], &meter)
                 .unwrap_err();
             assert_eq!(err, Trip::Cancelled);
             assert_eq!(left, before, "Err must leave the relation byte-identical");
@@ -604,14 +558,13 @@ mod tests {
                 left.rows().collect::<Vec<_>>(),
                 before.rows().collect::<Vec<_>>()
             );
-            // Untripped, the governed form matches the plain one.
+            // Untripped, exactly the matching rows survive, in order.
             let mut governed = before.clone();
             governed
-                .retain_semijoin_cols_governed(&[0], &filter, &[0], &NoMeter)
+                .retain_semijoin_cols_metered(&[0], &filter, &[0], &NoMeter)
                 .unwrap();
-            let mut plain = before.clone();
-            plain.retain_semijoin_cols(&[0], &filter, &[0]);
-            assert_eq!(governed, plain);
+            let expected: Vec<&[Value]> = before.rows().filter(|r| r[0].0 <= 2).collect();
+            assert_eq!(governed.rows().collect::<Vec<_>>(), expected);
             assert!(governed.len() < before.len());
         }
     }
@@ -627,13 +580,11 @@ mod tests {
         }
         let before = r.clone();
         let tiny = ByteQuota::new(8);
-        let err = r.dedup_governed(&tiny).unwrap_err();
+        let err = r.dedup_metered(&tiny).unwrap_err();
         assert!(matches!(err, Trip::Memory { .. }));
         assert_eq!(r, before, "tripped dedup must not touch the rows");
-        r.dedup_governed(&NoMeter).unwrap();
-        let mut plain = before.clone();
-        plain.dedup();
-        assert_eq!(r, plain);
+        r.dedup_metered(&NoMeter).unwrap();
+        assert_eq!(r, Relation::from_rows(2, &[[1u64, 2], [3, 4]]));
         assert!(r.is_sorted_set());
     }
 

@@ -8,12 +8,12 @@
 //! plan answers the same query against any number of database snapshots,
 //! sequentially or concurrently.
 
-use crate::ServiceError;
+use crate::{Op, Outcome, ServiceError};
 use cq::{parse_query, ConjunctiveQuery, Term};
-use eval::{EvalError, ShardConfig, Strategy};
+use eval::{EvalError, ExecCtx, Strategy};
 use hypergraph::acyclic;
-use hypertree_core::{DecompCache, QueryBudget, QueryError};
-use relation::{Database, Relation};
+use hypertree_core::{DecompCache, QueryError};
+use relation::Database;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -81,99 +81,44 @@ impl PreparedQuery {
         cfg: &PrepareConfig,
     ) -> Result<PreparedQuery, ServiceError> {
         let q = parse_query(text).map_err(ServiceError::Parse)?;
-        Ok(Self::prepare_parsed(q, cache, cfg))
-    }
-
-    /// Compile an already parsed query (planning cannot fail: every query
-    /// has at worst the trivial single-node decomposition).
-    pub fn prepare_parsed(
-        q: ConjunctiveQuery,
-        cache: &DecompCache,
-        cfg: &PrepareConfig,
-    ) -> PreparedQuery {
         let key = plan_key(&q);
-        Self::prepare_parsed_with_key(q, key, cache, cfg)
+        Ok(Self::prepare_parsed_with_key(q, key, cache, cfg))
     }
 
-    /// [`Self::prepare_parsed`] with the plan key already rendered —
-    /// callers that just probed a cache with the key (the [`crate::Service`]
-    /// miss path) avoid rendering it a second time. `key` must be
-    /// `plan_key(&q)`.
+    /// Compile an already parsed query whose plan key is `key` (planning
+    /// cannot fail without a budget: every query has at worst the trivial
+    /// single-node decomposition). `key` must be `plan_key(&q)`.
     pub fn prepare_parsed_with_key(
         q: ConjunctiveQuery,
         key: String,
         cache: &DecompCache,
         cfg: &PrepareConfig,
     ) -> PreparedQuery {
-        debug_assert_eq!(key, plan_key(&q), "key must be the query's plan key");
-        let h = q.hypergraph();
-        let (strategy, kind, provenance, decomp_cache_hit) = match acyclic::join_tree(&h) {
-            Some(jt) => (Strategy::JoinTree(jt), PlanKind::JoinTree, "acyclic", None),
-            None => {
-                let fresh = std::cell::Cell::new(None::<heuristics::Provenance>);
-                let hd = cache.get_or_insert_with(&h, |h| {
-                    let auto = heuristics::decompose_auto(h, cfg.exact_steps);
-                    fresh.set(Some(auto.provenance));
-                    auto.hd
-                });
-                // The cache stores only the decomposition: a hit cannot
-                // recover how the original decomposer tier arrived at it.
-                let provenance = match fresh.get() {
-                    Some(p) => provenance_str(p),
-                    None => "cached",
-                };
-                // One decomposition clone per *prepare* (not per execution);
-                // the plan must own its data to outlive cache eviction.
-                (
-                    Strategy::from_decomposition((*hd).clone()),
-                    PlanKind::Decomposition,
-                    provenance,
-                    Some(fresh.get().is_none()),
-                )
-            }
-        };
-        PreparedQuery {
-            query: q,
-            key,
-            strategy,
-            kind,
-            provenance,
-            decomp_cache_hit,
-        }
+        ExecCtx::never_trips(|ctx| Self::prepare_in(q, key, cache, cfg, ctx))
     }
 
-    /// [`Self::prepare_parsed_with_key`] under a [`QueryBudget`] — the
-    /// planning tier of the degradation ladder. The budget is polled
-    /// before planning starts, and a cyclic query's decomposition runs
-    /// [`heuristics::decompose_auto_governed`] with the bounded exact
+    /// [`Self::prepare_parsed_with_key`] under `ctx` — the planning tier
+    /// of the degradation ladder. The budget is polled before planning
+    /// starts, and a cyclic query's decomposition runs
+    /// [`heuristics::decompose_auto_within`] with the bounded exact
     /// search capped to *half* the budget's remaining time: an exact
     /// search that overruns its share degrades to the heuristic witness
     /// rather than eating the whole request deadline. Preparation fails
     /// only when the budget trips before *any* plan exists; a failed
     /// preparation inserts nothing into `cache`.
-    pub fn prepare_parsed_governed(
+    ///
+    /// The whole preparation runs under the tracer's `plan` span, a
+    /// decomposition-cache miss additionally under a nested `decompose`
+    /// span, and the decomposition-cache outcome and resulting plan
+    /// shape/width are noted on the trace.
+    pub fn prepare_in(
         q: ConjunctiveQuery,
         key: String,
         cache: &DecompCache,
         cfg: &PrepareConfig,
-        budget: &QueryBudget,
+        ctx: ExecCtx<'_>,
     ) -> Result<PreparedQuery, QueryError> {
-        Self::prepare_parsed_observed(q, key, cache, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Self::prepare_parsed_governed`] recorded into `obs`: the whole
-    /// preparation runs under a `plan` span, a decomposition-cache miss
-    /// additionally runs under a nested `decompose` span, and the
-    /// decomposition-cache outcome and resulting plan shape/width are
-    /// noted on the trace.
-    pub fn prepare_parsed_observed(
-        q: ConjunctiveQuery,
-        key: String,
-        cache: &DecompCache,
-        cfg: &PrepareConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<PreparedQuery, QueryError> {
+        let (budget, obs) = (ctx.budget, ctx.tracer);
         let _span = obs.span(obs::Phase::Plan);
         debug_assert_eq!(key, plan_key(&q), "key must be the query's plan key");
         budget.check("plan")?;
@@ -186,7 +131,7 @@ impl PreparedQuery {
                 let fresh = std::cell::Cell::new(None::<heuristics::Provenance>);
                 let hd = cache.try_get_or_insert_with(&h, |h| {
                     let _span = obs.span(obs::Phase::Decompose);
-                    heuristics::decompose_auto_governed(h, cfg.exact_steps, exact_deadline, budget)
+                    heuristics::decompose_auto_within(h, cfg.exact_steps, exact_deadline, budget)
                         .map(|auto| {
                             fresh.set(Some(auto.provenance));
                             auto.hd
@@ -194,10 +139,14 @@ impl PreparedQuery {
                 })?;
                 let hit = fresh.get().is_none();
                 obs.note_decomp_cache(hit);
+                // The cache stores only the decomposition: a hit cannot
+                // recover how the original decomposer tier arrived at it.
                 let provenance = match fresh.get() {
                     Some(p) => provenance_str(p),
                     None => "cached",
                 };
+                // One decomposition clone per *prepare* (not per execution);
+                // the plan must own its data to outlive cache eviction.
                 (
                     Strategy::from_decomposition((*hd).clone()),
                     PlanKind::Decomposition,
@@ -269,8 +218,8 @@ impl PreparedQuery {
     /// *completed* decomposition for hypertree plans — the same tree
     /// the Lemma 4.6 reduction runs on), so
     /// [`obs::QueryTrace::node_rows`] indices line up for EXPLAIN
-    /// ANALYZE. Cache lineage and shard configuration are left for the
-    /// serving layer to fill in.
+    /// ANALYZE. Plan-cache lineage is left for the serving layer to fill
+    /// in.
     pub fn explain(&self, query_text: &str) -> obs::PlanExplain {
         let h = self.query.hypergraph();
         let mut nodes = Vec::new();
@@ -326,122 +275,26 @@ impl PreparedQuery {
             provenance: self.provenance,
             plan_cache_hit: None,
             decomp_cache_hit: self.decomp_cache_hit,
-            shards: 1,
-            shard_min_rows: 0,
             nodes,
         }
     }
 
-    /// Answer the Boolean query against `db`.
-    pub fn boolean(&self, db: &Database) -> Result<bool, EvalError> {
-        self.strategy.boolean(&self.query, db)
-    }
-
-    /// Enumerate the answers over the head variables against `db`.
-    pub fn enumerate(&self, db: &Database) -> Result<Relation, EvalError> {
-        self.strategy.enumerate(&self.query, db)
-    }
-
-    /// Count the satisfying assignments over `var(Q)` against `db`.
-    /// Saturates at `u128::MAX` (see [`eval::Pipeline::count`]).
-    pub fn count(&self, db: &Database) -> Result<u128, EvalError> {
-        eval::counting::count_with(&self.strategy, &self.query, db)
-    }
-
-    /// [`Self::boolean`] with the per-query work hash-sharded across
-    /// `cfg` shards (see [`eval::sharded`]). Identical answer.
-    pub fn boolean_sharded(&self, db: &Database, cfg: &ShardConfig) -> Result<bool, EvalError> {
-        self.strategy.boolean_sharded(&self.query, db, cfg)
-    }
-
-    /// [`Self::enumerate`] sharded: byte-identical rows, same order.
-    pub fn enumerate_sharded(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-    ) -> Result<Relation, EvalError> {
-        self.strategy.enumerate_sharded(&self.query, db, cfg)
-    }
-
-    /// [`Self::count`] sharded: identical value, saturation included.
-    pub fn count_sharded(&self, db: &Database, cfg: &ShardConfig) -> Result<u128, EvalError> {
-        eval::counting::count_with_sharded(&self.strategy, &self.query, db, cfg)
-    }
-
-    /// [`Self::boolean_sharded`] under a [`QueryBudget`]: every
-    /// long-running loop polls the budget at chunk granularity and
-    /// unwinds with [`EvalError::Budget`] on a trip.
-    pub fn boolean_governed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<bool, EvalError> {
-        self.strategy.boolean_governed(&self.query, db, cfg, budget)
-    }
-
-    /// [`Self::enumerate_sharded`] under a [`QueryBudget`]. Returns
-    /// `(rows, truncated)`: `truncated == true` means the byte quota
-    /// tripped during the output join and the rows are a sound *subset*
-    /// of the answers (see [`eval::Pipeline::enumerate_governed`]).
-    pub fn enumerate_governed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(Relation, bool), EvalError> {
-        self.strategy
-            .enumerate_governed(&self.query, db, cfg, budget)
-    }
-
-    /// [`Self::count_sharded`] under a [`QueryBudget`]. Memory trips are
-    /// hard errors — a truncated count would be silently wrong.
-    pub fn count_governed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<u128, EvalError> {
-        self.strategy.count_governed(&self.query, db, cfg, budget)
-    }
-
-    /// [`Self::boolean_governed`] with phase spans and row scans
-    /// recorded into `obs`.
-    pub fn boolean_observed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<bool, EvalError> {
-        self.strategy
-            .boolean_observed(&self.query, db, cfg, budget, obs)
-    }
-
-    /// [`Self::enumerate_governed`] with phase spans and row scans
-    /// recorded into `obs`.
-    pub fn enumerate_observed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), EvalError> {
-        self.strategy
-            .enumerate_observed(&self.query, db, cfg, budget, obs)
-    }
-
-    /// [`Self::count_governed`] with phase spans and row scans recorded
-    /// into `obs`.
-    pub fn count_observed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<u128, EvalError> {
-        self.strategy
-            .count_observed(&self.query, db, cfg, budget, obs)
+    /// Evaluate `op` against `db` under `ctx`, with phase spans and row
+    /// scans recorded into its tracer. An enumeration that trips the
+    /// byte quota mid-join comes back as a truncated partial result
+    /// ([`Outcome::Partial`]); every other trip is
+    /// [`EvalError::Budget`]. Counts saturate at `u128::MAX` (see
+    /// [`eval::Pipeline::count`]).
+    pub fn execute(&self, op: Op, db: &Database, ctx: ExecCtx<'_>) -> Result<Outcome, EvalError> {
+        let (q, plan) = (&self.query, &self.strategy);
+        Ok(match op {
+            Op::Boolean => Outcome::Boolean(plan.boolean_in(q, db, ctx)?),
+            Op::Enumerate => match plan.enumerate_in(q, db, ctx)? {
+                (rows, true) => Outcome::Partial(rows),
+                (rows, false) => Outcome::Rows(rows),
+            },
+            Op::Count => Outcome::Count(plan.count_in(q, db, ctx)?),
+        })
     }
 }
 
@@ -540,14 +393,17 @@ mod tests {
         db.add_fact("r", &[1, 2]);
         db.add_fact("s", &[2, 3]);
         db.add_fact("t", &[3, 1]);
-        assert_eq!(p.boolean(&db), Ok(true));
-        let rows = p.enumerate(&db).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(p.count(&db), Ok(1));
+        let run = |op, db: &Database| ExecCtx::unlimited(|ctx| p.execute(op, db, ctx));
+        assert_eq!(run(Op::Boolean, &db), Ok(Outcome::Boolean(true)));
+        match run(Op::Enumerate, &db) {
+            Ok(Outcome::Rows(rows)) => assert_eq!(rows.len(), 1),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        assert_eq!(run(Op::Count, &db), Ok(Outcome::Count(1)));
         // The very same plan object answers a different database.
         let empty = Database::new();
-        assert_eq!(p.boolean(&empty), Ok(false));
-        assert_eq!(p.count(&empty), Ok(0));
+        assert_eq!(run(Op::Boolean, &empty), Ok(Outcome::Boolean(false)));
+        assert_eq!(run(Op::Count, &empty), Ok(Outcome::Count(0)));
     }
 
     #[test]

@@ -156,8 +156,11 @@ fn full_reduction_consistency() {
             .nodes()
             .map(|x| bound[hypergraph::Ix::index(jt.edge_at(x))].clone())
             .collect();
-        let reduced = hypertree::eval::yannakakis::full_reduce(jt.tree(), &nodes);
-        let boolean = hypertree::eval::yannakakis::boolean(jt.tree(), &nodes);
+        let pipeline = hypertree::eval::Pipeline::from_nodes(jt.tree(), &nodes);
+        let mut reduced: Vec<_> = nodes.iter().map(|b| b.rel.clone()).collect();
+        pipeline.full_reduce(&mut reduced);
+        let mut swept: Vec<_> = nodes.iter().map(|b| b.rel.clone()).collect();
+        let boolean = pipeline.boolean(&mut swept);
         // Non-empty reduction at every node ⟺ the query is satisfiable.
         let all_nonempty = reduced.iter().all(|r| !r.is_empty());
         assert_eq!(all_nonempty, boolean);
